@@ -1,4 +1,4 @@
-//! A scoped worker pool for deterministic intra-query parallelism.
+//! A scoped worker pool for deterministic inter-peer parallelism.
 //!
 //! The pool is deliberately tiny and dependency-free: a
 //! [`std::thread::scope`] fan-out over a chunked work queue driven by a
@@ -7,9 +7,14 @@
 //! sorted back into input order before returning, so **the output of
 //! [`run_tasks`] is a pure function of its input** — worker count,
 //! scheduling order, and preemption never change what the caller sees.
-//! That property is what lets the query engines parallelize per-peer
-//! partition work and per-morsel operator work while keeping results,
-//! traces, and telemetry byte-identical at any thread count.
+//! That property is what lets the query engines fan per-peer work
+//! (subqueries, partition joins and aggregations) out over the pool
+//! while keeping results, traces, and telemetry byte-identical at any
+//! thread count.
+//!
+//! The engines in `bestpeer_core::engine` are the only callers, and no
+//! task calls back into the pool: there is one level of parallelism, and
+//! the SQL operators each task runs are sequential.
 //!
 //! Thread-count resolution (first match wins):
 //!
@@ -23,12 +28,6 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// Rows per morsel for intra-operator parallel decomposition. Operators
-/// chunk their input by this constant — never by the thread count — so
-/// the decomposition (and everything derived from it: partial-state
-/// merge order, morsel counters) is identical at any parallelism.
-pub const MORSEL_ROWS: usize = 4096;
 
 /// Process-wide thread-count override; 0 means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -123,18 +122,6 @@ where
     out.into_iter().map(|(_, r)| r).collect()
 }
 
-/// The morsel boundaries for `len` input rows: `(start, end)` pairs
-/// covering `0..len` in [`MORSEL_ROWS`] chunks. Depends only on the
-/// input length, never on the thread count.
-pub fn morsels(len: usize) -> Vec<(usize, usize)> {
-    if len == 0 {
-        return Vec::new();
-    }
-    (0..len.div_ceil(MORSEL_ROWS))
-        .map(|c| (c * MORSEL_ROWS, ((c + 1) * MORSEL_ROWS).min(len)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,21 +159,6 @@ mod tests {
         let par = run_tasks(&items, |i, x| x.wrapping_mul(i as i64 + 1));
         clear_threads();
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn morsel_boundaries_cover_the_input() {
-        assert!(morsels(0).is_empty());
-        assert_eq!(morsels(10), vec![(0, 10)]);
-        let m = morsels(MORSEL_ROWS * 2 + 5);
-        assert_eq!(
-            m,
-            vec![
-                (0, MORSEL_ROWS),
-                (MORSEL_ROWS, 2 * MORSEL_ROWS),
-                (2 * MORSEL_ROWS, 2 * MORSEL_ROWS + 5)
-            ]
-        );
     }
 
     #[test]

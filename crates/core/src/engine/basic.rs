@@ -20,13 +20,13 @@
 //!   over the already-fetched side's join keys and ships it to the other
 //!   side's owners, which drop non-matching tuples before transmission.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 use bestpeer_common::{codec, Error, PeerId, Result, TableSchema, Value};
 use bestpeer_simnet::{Phase, Task, Trace};
 use bestpeer_sql::ast::SelectStmt;
 use bestpeer_sql::bloom::BloomFilter;
-use bestpeer_sql::decompose::{decompose, Decomposition};
+use bestpeer_sql::decompose::decompose;
 use bestpeer_sql::dist::split_aggregate;
 use bestpeer_sql::exec::execute_select;
 use bestpeer_storage::{Database, MemTable};
@@ -184,9 +184,10 @@ pub fn execute(
         }
     }
 
-    // Processing step at the submitting peer.
-    let local_stmt = rewrite_for_temp(stmt, &decomp);
-    let (rs, pstats) = execute_select(&local_stmt, &temp)?;
+    // Processing step at the submitting peer. The staging tables carry
+    // the same names and (pruned) columns as the originals, so the
+    // original statement evaluates directly.
+    let (rs, pstats) = execute_select(stmt, &temp)?;
     ctx.note_exec(&pstats);
     let out_bytes = codec::batch_encoded_size(&rs.rows);
     trace.push(
@@ -225,24 +226,9 @@ fn temp_schema(
     TableSchema::new(table, cols, vec![])
 }
 
-/// The processing-step statement: identical to the original — the
-/// staging tables carry the same names and (pruned) columns, so the
-/// original statement evaluates directly.
-fn rewrite_for_temp(stmt: &SelectStmt, _decomp: &Decomposition) -> SelectStmt {
-    stmt.clone()
-}
-
 /// All values of one column of a staged table.
 fn column_values(db: &Database, table: &str, column: &str) -> Result<Vec<Value>> {
     let t = db.table(table)?;
     let idx = t.schema().column_index(column)?;
     Ok(t.scan().map(|r| r.get(idx).clone()).collect())
 }
-
-/// Statistics a caller can extract from a basic-engine trace.
-pub fn network_bytes_of(trace: &Trace) -> u64 {
-    trace.network_bytes()
-}
-
-/// (Used by tests and the ablation bench.)
-pub type LocatedPeers = BTreeMap<String, Vec<PeerId>>;

@@ -570,9 +570,14 @@ impl BestPeerNetwork {
     /// dropped, the remembered state is discarded so the next publish
     /// heals with a full sweep.
     pub fn publish_indices(&mut self, id: PeerId) -> Result<u32> {
-        let range_cols = self.config.range_index_columns.clone();
-        let db = self.peer(id)?.db.clone();
-        let target = indexer::peer_entries(id, &db, &range_cols)?;
+        // Borrow the peer's database through the `peers` field, not
+        // `self.peer()`, so the overlay (a separate field) stays mutable.
+        let db = &self
+            .peers
+            .get(&id)
+            .ok_or_else(|| Error::Network(format!("no peer {id}")))?
+            .db;
+        let target = indexer::peer_entries(id, db, &self.config.range_index_columns)?;
         let dropped_before = self.overlay.stats().dropped_inserts;
         let lossy = self.overlay.pending_insert_drops() > 0;
         // `Some(keys)` = delta publish touching exactly those BATON
@@ -604,7 +609,7 @@ impl BestPeerNetwork {
                     let prev = prev.clone();
                     indexer::remove_entries(&mut self.overlay, id, &prev)?;
                 }
-                indexer::unpublish_peer(&mut self.overlay, id, &db)?;
+                indexer::unpublish_peer(&mut self.overlay, id, db)?;
                 let hops = indexer::publish_entries(&mut self.overlay, &target)?;
                 self.metrics.inc("index.full_publishes");
                 hops
@@ -1054,13 +1059,7 @@ impl BestPeerNetwork {
         schemas: &[TableSchema],
         engine: EngineChoice,
         query_ts: u64,
-    ) -> Result<(
-        ResultSet,
-        Trace,
-        EngineChoice,
-        Option<EngineDecision>,
-        bestpeer_sql::ExecStats,
-    )> {
+    ) -> Result<(ResultSet, Trace, EngineChoice, Option<EngineDecision>)> {
         let locator = self
             .locators
             .entry(submitter)
@@ -1113,8 +1112,7 @@ impl BestPeerNetwork {
         };
         let exec = ctx.exec.get();
         self.record_exec_metrics(&exec);
-        let (rs, tr, used, decision) = out;
-        Ok((rs, tr, used, decision, exec))
+        Ok(out)
     }
 
     /// Fold one attempt's execution counters into the registry.
@@ -1123,7 +1121,6 @@ impl BestPeerNetwork {
         m.inc_by("exec.rows_shared", exec.rows_shared);
         m.inc_by("exec.rows_cloned", exec.rows_cloned);
         m.inc_by("exec.topk_short_circuits", exec.topk_short_circuits);
-        m.inc_by("exec.parallel_morsels", exec.parallel_morsels);
         // Pool counters are wall-clock (worker-thread busy time), so
         // they live only in the registry — never in a QueryReport,
         // whose fields must be deterministic at any thread count.
@@ -1190,7 +1187,7 @@ impl BestPeerNetwork {
                 pre.push(Phase::new("fault-slowdown").task(Task::on(submitter).fixed(slow)));
             }
             match outcome {
-                Ok((result, trace, used, decision, exec)) => {
+                Ok((result, trace, used, decision)) => {
                     let mut full = pre;
                     full.phases.extend(trace.phases);
                     let mut report = QueryReport::from_trace(
@@ -1203,7 +1200,6 @@ impl BestPeerNetwork {
                     report.sheds = sheds;
                     report.slo_violation = self.config.slo_latency > SimTime::ZERO
                         && report.total_latency > self.config.slo_latency;
-                    report.parallel_morsels = exec.parallel_morsels;
                     report.selection = decision.map(|d| EngineSelection {
                         predicted_p2p_secs: d.p2p_cost,
                         predicted_mr_secs: d.mr_cost,
@@ -1661,7 +1657,6 @@ impl BestPeerNetwork {
         let mut report =
             QueryReport::from_trace("online", &out.trace, &Cluster::new(self.config.resources));
         report.degraded_peers = out.skipped_peers;
-        report.parallel_morsels = exec.parallel_morsels;
         self.record_query_metrics(&report);
         out.report = report;
         Ok(out)

@@ -285,8 +285,8 @@ fn results_reports_and_traces_identical_at_any_thread_count() {
     // result rows, telemetry report (through the JSON export), trace,
     // and attempt count must be byte-identical whether the worker pool
     // runs 1, 2, or 8 threads — exact equality here, no float
-    // tolerance, because morsel boundaries depend only on input sizes
-    // and merges happen in a fixed order.
+    // tolerance, because the pool returns per-peer results in input
+    // order and every operator inside a task runs sequentially.
     // Everything observable about one query: rows, rendered report
     // JSON, trace debug form, attempt count.
     type Outcome = (Vec<Row>, String, String, u32);

@@ -5,14 +5,11 @@
 //! pruning — see [`crate::phys`]) and walks it bottom-up with
 //! [`run_physical`], materializing each operator's output. Index scans
 //! drive off a secondary index when the planner estimates the matching
-//! fraction below [`INDEX_SELECTIVITY_THRESHOLD`] — this is what makes
-//! the paper's Q1/Q2 fast on both systems (§6.1.6: "both systems
-//! benefit from the secondary indices built on l_shipdate and
+//! fraction below [`crate::phys::INDEX_SELECTIVITY_THRESHOLD`] — this
+//! is what makes the paper's Q1/Q2 fast on both systems (§6.1.6: "both
+//! systems benefit from the secondary indices built on l_shipdate and
 //! l_commitdate") — and fetch their row ids sorted ascending, so the
-//! visible row sequence never depends on which access path ran. The
-//! logical [`run`] entry point remains for un-planned callers holding a
-//! bare [`Plan`]; its scans estimate candidates from index statistics
-//! and materialize only the winning posting lists.
+//! visible row sequence never depends on which access path ran.
 //!
 //! Two hot-path properties:
 //!
@@ -26,22 +23,25 @@
 //!   binary heap instead of a full sort, preserving the full sort's
 //!   stable tie-break (original input position) exactly.
 //!
+//! Every operator runs sequentially on the calling thread. Parallelism
+//! lives one level up, in the engines' inter-peer fan-out
+//! (`bestpeer_core::engine`), where each peer's subquery is one task.
+//!
 //! Execution returns [`ExecStats`] (rows/bytes scanned, index usage,
 //! sharing/clone counts) that the pay-as-you-go cost accounting and the
 //! telemetry layer consume. Byte accounting always charges *logical*
 //! row bytes, independent of how many handles share an allocation.
 
-use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
-use bestpeer_common::{mix64, pool, stable_hash, Error, Result, Row, SharedRow, Value};
+use bestpeer_common::{mix64, stable_hash, Error, Result, Row, SharedRow, Value};
 use bestpeer_storage::{Database, RowId, Table};
 
 use crate::ast::{AggFunc, Expr, SelectStmt};
-use crate::phys::{best_index_candidate, plan_physical, PhysPlan, INDEX_SELECTIVITY_THRESHOLD};
-use crate::plan::{eval, eval_bool, AggItem, Binding, NoStats, Plan, SelectivityEstimator};
+use crate::phys::{plan_physical, PhysPlan};
+use crate::plan::{eval, eval_bool, AggItem, Binding, NoStats, SelectivityEstimator};
 
 /// A materialized query result.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -155,13 +155,6 @@ pub struct ExecStats {
     /// `ORDER BY … LIMIT k` sorts answered by the bounded top-K heap
     /// instead of a full sort.
     pub topk_short_circuits: u64,
-    /// Morsels processed by the executor's parallel operator paths.
-    /// The decomposition is a pure function of input sizes (fixed
-    /// [`pool::MORSEL_ROWS`] chunks, engaged whenever an input spans
-    /// more than one morsel), never of the thread count — so this
-    /// counter, like every other field, is byte-identical at any
-    /// parallelism.
-    pub parallel_morsels: u64,
 }
 
 impl ExecStats {
@@ -175,7 +168,6 @@ impl ExecStats {
         self.rows_shared += other.rows_shared;
         self.rows_cloned += other.rows_cloned;
         self.topk_short_circuits += other.topk_short_circuits;
-        self.parallel_morsels += other.parallel_morsels;
     }
 }
 
@@ -260,7 +252,7 @@ pub fn run_physical(
         }
         PhysPlan::Prune { input, cols, .. } => {
             let rows = run_physical(input, db, stats)?;
-            Ok(prune_rows(&rows, cols, stats))
+            Ok(prune_rows(&rows, cols))
         }
         PhysPlan::HashJoin {
             left,
@@ -271,7 +263,7 @@ pub fn run_physical(
         } => {
             let l = run_physical(left, db, stats)?;
             let r = run_physical(right, db, stats)?;
-            Ok(hash_join(&l, &r, *left_key, *right_key, stats))
+            Ok(hash_join(&l, &r, *left_key, *right_key))
         }
         PhysPlan::CrossJoin { left, right, .. } => {
             let l = run_physical(left, db, stats)?;
@@ -290,17 +282,13 @@ pub fn run_physical(
             binding,
         } => {
             let rows = run_physical(input, db, stats)?;
-            filter_rows(rows, predicates, binding, stats)
+            filter_rows(rows, predicates, binding)
         }
         PhysPlan::Aggregate {
             input, group, aggs, ..
         } => {
             let rows = run_physical(input, db, stats)?;
-            let chunks = pool::morsels(rows.len());
-            if chunks.len() > 1 {
-                stats.parallel_morsels += chunks.len() as u64;
-            }
-            let out = aggregate_slice(&rows, input.binding(), group, aggs)?;
+            let out = aggregate_rows(rows.iter().map(|r| &**r), input.binding(), group, aggs)?;
             Ok(out.into_iter().map(SharedRow::new).collect())
         }
         PhysPlan::Sort {
@@ -314,9 +302,13 @@ pub fn run_physical(
         }
         PhysPlan::Project { input, exprs, .. } => {
             let rows = run_physical(input, db, stats)?;
-            project_rows(&rows, exprs, input.binding(), stats)
+            project_rows(&rows, exprs, input.binding())
         }
-        // Same bounded top-K special cases as the logical walker.
+        // `LIMIT k` directly above a sort (with or without an intervening
+        // row-wise projection) becomes a bounded top-K: the heap keeps
+        // exactly the k rows a full sort + truncate would keep, in the
+        // same order. Projection commutes with truncation because it is
+        // 1:1 and order-preserving.
         PhysPlan::Limit { input, n, .. } => match &**input {
             PhysPlan::Sort {
                 input: sorted,
@@ -341,7 +333,7 @@ pub fn run_physical(
                 };
                 let rows = run_physical(sorted, db, stats)?;
                 let rows = top_k_shared(rows, keys, binding, *n, stats)?;
-                project_rows(&rows, exprs, binding, stats)
+                project_rows(&rows, exprs, binding)
             }
             _ => {
                 let mut rows = run_physical(input, db, stats)?;
@@ -353,193 +345,34 @@ pub fn run_physical(
 }
 
 /// Narrow each row to the kept column positions (projection pruning).
-/// 1:1 and order-preserving; morsel-parallel like [`project_rows`].
-fn prune_rows(rows: &[SharedRow], cols: &[usize], stats: &mut ExecStats) -> Vec<SharedRow> {
-    let prune_one = |row: &SharedRow| -> SharedRow {
-        SharedRow::new(Row::new(cols.iter().map(|&i| row.get(i).clone()).collect()))
-    };
-    let chunks = pool::morsels(rows.len());
-    if chunks.len() <= 1 {
-        return rows.iter().map(prune_one).collect();
-    }
-    stats.parallel_morsels += chunks.len() as u64;
-    pool::run_tasks(&chunks, |_, &(lo, hi)| {
-        rows[lo..hi].iter().map(prune_one).collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// Execute a plan, materializing its output as shared row handles.
-pub fn run(plan: &Plan, db: &Database, stats: &mut ExecStats) -> Result<Vec<SharedRow>> {
-    match plan {
-        Plan::Scan {
-            table,
-            filters,
-            binding,
-        } => scan(db.table(table)?, table, filters, binding, stats),
-        Plan::HashJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-            ..
-        } => {
-            let l = run(left, db, stats)?;
-            let r = run(right, db, stats)?;
-            Ok(hash_join(&l, &r, *left_key, *right_key, stats))
-        }
-        Plan::CrossJoin { left, right, .. } => {
-            let l = run(left, db, stats)?;
-            let r = run(right, db, stats)?;
-            let mut out = Vec::with_capacity(l.len() * r.len());
-            for a in &l {
-                for b in &r {
-                    out.push(SharedRow::new(a.concat(b)));
-                }
-            }
-            Ok(out)
-        }
-        Plan::Filter {
-            input,
-            predicates,
-            binding,
-        } => {
-            let rows = run(input, db, stats)?;
-            filter_rows(rows, predicates, binding, stats)
-        }
-        Plan::Aggregate {
-            input, group, aggs, ..
-        } => {
-            let rows = run(input, db, stats)?;
-            let chunks = pool::morsels(rows.len());
-            if chunks.len() > 1 {
-                stats.parallel_morsels += chunks.len() as u64;
-            }
-            let out = aggregate_slice(&rows, input.binding(), group, aggs)?;
-            Ok(out.into_iter().map(SharedRow::new).collect())
-        }
-        Plan::Sort {
-            input,
-            keys,
-            binding,
-        } => {
-            let mut rows = run(input, db, stats)?;
-            sort_shared(&mut rows, keys, binding)?;
-            Ok(rows)
-        }
-        Plan::Project { input, exprs, .. } => {
-            let rows = run(input, db, stats)?;
-            project_rows(&rows, exprs, input.binding(), stats)
-        }
-        // `LIMIT k` directly above a sort (with or without an intervening
-        // row-wise projection) becomes a bounded top-K: the heap keeps
-        // exactly the k rows a full sort + truncate would keep, in the
-        // same order. Projection commutes with truncation because it is
-        // 1:1 and order-preserving.
-        Plan::Limit { input, n, .. } => match &**input {
-            Plan::Sort {
-                input: sorted,
-                keys,
-                binding,
-            } => {
-                let rows = run(sorted, db, stats)?;
-                top_k_shared(rows, keys, binding, *n, stats)
-            }
-            Plan::Project {
-                input: projected,
-                exprs,
-                ..
-            } if matches!(&**projected, Plan::Sort { .. }) => {
-                let Plan::Sort {
-                    input: sorted,
-                    keys,
-                    binding,
-                } = &**projected
-                else {
-                    unreachable!("guarded by matches!")
-                };
-                let rows = run(sorted, db, stats)?;
-                let rows = top_k_shared(rows, keys, binding, *n, stats)?;
-                project_rows(&rows, exprs, binding, stats)
-            }
-            _ => {
-                let mut rows = run(input, db, stats)?;
-                rows.truncate(*n);
-                Ok(rows)
-            }
-        },
-    }
+/// 1:1 and order-preserving.
+fn prune_rows(rows: &[SharedRow], cols: &[usize]) -> Vec<SharedRow> {
+    rows.iter()
+        .map(|row| SharedRow::new(Row::new(cols.iter().map(|&i| row.get(i).clone()).collect())))
+        .collect()
 }
 
 /// Evaluate projection expressions over each row (1:1, order-preserving).
-/// Inputs spanning more than one morsel are projected on pool workers,
-/// one morsel per task, merged back in morsel order.
-fn project_rows(
-    rows: &[SharedRow],
-    exprs: &[Expr],
-    b: &Binding,
-    stats: &mut ExecStats,
-) -> Result<Vec<SharedRow>> {
-    let project_one = |row: &SharedRow| -> Result<SharedRow> {
-        Ok(SharedRow::new(Row::new(
-            exprs
-                .iter()
-                .map(|e| eval(e, row, b))
-                .collect::<Result<Vec<_>>>()?,
-        )))
-    };
-    let chunks = pool::morsels(rows.len());
-    if chunks.len() <= 1 {
-        return rows.iter().map(project_one).collect();
-    }
-    stats.parallel_morsels += chunks.len() as u64;
-    let parts = pool::run_tasks(&chunks, |_, &(lo, hi)| {
-        rows[lo..hi]
-            .iter()
-            .map(project_one)
-            .collect::<Result<Vec<_>>>()
-    });
-    let mut out = Vec::with_capacity(rows.len());
-    for p in parts {
-        out.extend(p?);
-    }
-    Ok(out)
+fn project_rows(rows: &[SharedRow], exprs: &[Expr], b: &Binding) -> Result<Vec<SharedRow>> {
+    rows.iter()
+        .map(|row| {
+            Ok(SharedRow::new(Row::new(
+                exprs
+                    .iter()
+                    .map(|e| eval(e, row, b))
+                    .collect::<Result<Vec<_>>>()?,
+            )))
+        })
+        .collect()
 }
 
-/// Morsel-parallel filter: each worker evaluates the predicates over one
-/// fixed-size chunk; survivors are concatenated in chunk order, so the
-/// output sequence equals the sequential scan's at any thread count.
-fn filter_rows(
-    rows: Vec<SharedRow>,
-    preds: &[Expr],
-    b: &Binding,
-    stats: &mut ExecStats,
-) -> Result<Vec<SharedRow>> {
-    let chunks = pool::morsels(rows.len());
-    if chunks.len() <= 1 {
-        let mut out = Vec::new();
-        for row in rows {
-            if all_true(preds, &row, b)? {
-                out.push(row);
-            }
-        }
-        return Ok(out);
-    }
-    stats.parallel_morsels += chunks.len() as u64;
-    let parts = pool::run_tasks(&chunks, |_, &(lo, hi)| -> Result<Vec<SharedRow>> {
-        let mut kept = Vec::new();
-        for row in &rows[lo..hi] {
-            if all_true(preds, row, b)? {
-                kept.push(row.clone());
-            }
-        }
-        Ok(kept)
-    });
+/// Keep the rows every predicate accepts, in input order.
+fn filter_rows(rows: Vec<SharedRow>, preds: &[Expr], b: &Binding) -> Result<Vec<SharedRow>> {
     let mut out = Vec::new();
-    for p in parts {
-        out.extend(p?);
+    for row in rows {
+        if all_true(preds, &row, b)? {
+            out.push(row);
+        }
     }
     Ok(out)
 }
@@ -551,36 +384,6 @@ fn all_true(preds: &[Expr], row: &Row, b: &Binding) -> Result<bool> {
         }
     }
     Ok(true)
-}
-
-/// Index-aware scan for the logical (un-planned) path: estimate every
-/// sargable indexed candidate from index statistics *first*, then
-/// materialize only the winner's posting lists — and only when its
-/// estimated fraction clears the planner's cost threshold; wide ranges
-/// fall back to the sequential scan. Mirrors the physical planner's
-/// access-path choice so `run` and `run_physical` agree.
-fn scan(
-    table: &Table,
-    name: &str,
-    filters: &[Expr],
-    binding: &Binding,
-    stats: &mut ExecStats,
-) -> Result<Vec<SharedRow>> {
-    if let Some((driving, column, bounds, frac)) =
-        best_index_candidate(table, name, filters, &NoStats)
-    {
-        if frac <= INDEX_SELECTIVITY_THRESHOLD {
-            let mut ids = bounds.lookup(table, &column).ok_or_else(|| {
-                Error::Internal(format!("chosen index `{name}.{column}` is missing"))
-            })?;
-            // RowId (insertion) order, not key order — see run_physical.
-            ids.sort_unstable();
-            stats.index_scans += 1;
-            return index_scan_rows(table, &ids, driving, filters, binding, stats);
-        }
-    }
-    stats.full_scans += 1;
-    seq_scan_rows(table, filters, binding, stats)
 }
 
 /// Fetch `ids` (pre-sorted ascending) and apply every filter except the
@@ -615,8 +418,7 @@ fn index_scan_rows(
     Ok(out)
 }
 
-/// Full-table scan + filter in RowId order, morsel-parallel when the
-/// table spans more than one morsel.
+/// Full-table scan + filter in RowId order.
 fn seq_scan_rows(
     table: &Table,
     filters: &[Expr],
@@ -624,70 +426,26 @@ fn seq_scan_rows(
     stats: &mut ExecStats,
 ) -> Result<Vec<SharedRow>> {
     let mut out = Vec::new();
-    let rows: Vec<SharedRow> = table.scan_shared().collect();
-    let chunks = pool::morsels(rows.len());
-    if chunks.len() <= 1 {
-        for row in rows {
-            stats.rows_scanned += 1;
-            stats.bytes_scanned += row.byte_size();
-            if all_true(filters, &row, binding)? {
-                stats.rows_shared += 1;
-                out.push(row);
-            }
-        }
-    } else {
-        // Morsel-parallel scan+filter: workers each charge their
-        // chunk's bytes locally; the per-chunk stats are summed
-        // in chunk order, so the totals (and the survivor
-        // sequence) match the sequential loop exactly.
-        stats.parallel_morsels += chunks.len() as u64;
-        let parts = pool::run_tasks(
-            &chunks,
-            |_, &(lo, hi)| -> Result<(Vec<SharedRow>, u64, u64)> {
-                let mut kept = Vec::new();
-                let (mut bytes, mut shared) = (0u64, 0u64);
-                for row in &rows[lo..hi] {
-                    bytes += row.byte_size();
-                    if all_true(filters, row, binding)? {
-                        shared += 1;
-                        kept.push(row.clone());
-                    }
-                }
-                Ok((kept, bytes, shared))
-            },
-        );
-        for (i, part) in parts.into_iter().enumerate() {
-            let (kept, bytes, shared) = part?;
-            let (lo, hi) = chunks[i];
-            stats.rows_scanned += (hi - lo) as u64;
-            stats.bytes_scanned += bytes;
-            stats.rows_shared += shared;
-            out.extend(kept);
+    for row in table.scan_shared() {
+        stats.rows_scanned += 1;
+        stats.bytes_scanned += row.byte_size();
+        if all_true(filters, &row, binding)? {
+            stats.rows_shared += 1;
+            out.push(row);
         }
     }
     Ok(out)
 }
 
-/// Build-side partition count for the parallel hash join. Fixed (never
-/// derived from the thread count) so the decomposition — and therefore
-/// every per-bucket structure — is a pure function of the data.
-const JOIN_PARTITIONS: usize = 16;
-
 /// In-memory hash join (build on the smaller side; output rows always
 /// carry left fields first). Empty inputs return immediately without
-/// building a table. When the probe side spans more than one morsel the
-/// join runs partitioned-parallel: a parallel hash pass over the build
-/// side, a cheap in-order distribution into [`JOIN_PARTITIONS`]
-/// hash-partitioned sub-tables built on workers, then morsel-parallel
-/// probing merged in probe order — the output sequence (probe order,
-/// build-input order within a probe match) is byte-identical to the
-/// sequential nested loop at any thread count.
+/// building a table. Output follows probe order, then build-input order
+/// within one probe row's matches.
 fn hash_join(
     left: &[SharedRow],
     right: &[SharedRow],
     left_key: usize,
     right_key: usize,
-    stats: &mut ExecStats,
 ) -> Vec<SharedRow> {
     if left.is_empty() || right.is_empty() {
         return Vec::new();
@@ -698,65 +456,17 @@ fn hash_join(
     } else {
         (left, left_key, right, right_key)
     };
-    let emit = |b: &SharedRow, p: &SharedRow| -> SharedRow {
-        SharedRow::new(if swap { p.concat(b) } else { b.concat(p) })
-    };
-    let probe_chunks = pool::morsels(probe.len());
-    if probe_chunks.len() <= 1 {
-        let mut ht: HashMap<&Value, Vec<&SharedRow>> = HashMap::with_capacity(build.len());
-        for row in build {
-            ht.entry(row.get(bkey)).or_default().push(row);
-        }
-        let mut out = Vec::with_capacity(build.len().min(probe.len()));
-        for p in probe {
-            if let Some(matches) = ht.get(p.get(pkey)) {
-                for b in matches {
-                    out.push(emit(b, p));
-                }
-            }
-        }
-        return out;
+    let mut ht: HashMap<&Value, Vec<&SharedRow>> = HashMap::with_capacity(build.len());
+    for row in build {
+        ht.entry(row.get(bkey)).or_default().push(row);
     }
-    let build_chunks = pool::morsels(build.len());
-    stats.parallel_morsels += (build_chunks.len() + probe_chunks.len()) as u64;
-    // Parallel hash pass over the build side, then distribute rows into
-    // buckets sequentially *in input order* — each bucket's row order
-    // (and thus each hash chain's match order) equals the sequential
-    // build's.
-    let hashed: Vec<Vec<u64>> = pool::run_tasks(&build_chunks, |_, &(lo, hi)| {
-        build[lo..hi]
-            .iter()
-            .map(|r| stable_hash(r.get(bkey)))
-            .collect()
-    });
-    let mut buckets: Vec<Vec<&SharedRow>> = vec![Vec::new(); JOIN_PARTITIONS];
-    for (chunk, &(lo, _)) in hashed.iter().zip(&build_chunks) {
-        for (off, h) in chunk.iter().enumerate() {
-            buckets[(*h as usize) % JOIN_PARTITIONS].push(&build[lo + off]);
-        }
-    }
-    let tables: Vec<HashMap<&Value, Vec<&SharedRow>>> = pool::run_tasks(&buckets, |_, bucket| {
-        let mut ht: HashMap<&Value, Vec<&SharedRow>> = HashMap::with_capacity(bucket.len());
-        for row in bucket {
-            ht.entry(row.get(bkey)).or_default().push(*row);
-        }
-        ht
-    });
-    let parts: Vec<Vec<SharedRow>> = pool::run_tasks(&probe_chunks, |_, &(lo, hi)| {
-        let mut matched = Vec::new();
-        for p in &probe[lo..hi] {
-            let key = p.get(pkey);
-            if let Some(matches) = tables[(stable_hash(key) as usize) % JOIN_PARTITIONS].get(key) {
-                for b in matches {
-                    matched.push(emit(b, p));
-                }
-            }
-        }
-        matched
-    });
     let mut out = Vec::with_capacity(build.len().min(probe.len()));
-    for p in parts {
-        out.extend(p);
+    for p in probe {
+        if let Some(matches) = ht.get(p.get(pkey)) {
+            for b in matches {
+                out.push(SharedRow::new(if swap { p.concat(b) } else { b.concat(p) }));
+            }
+        }
     }
     out
 }
@@ -828,43 +538,6 @@ impl Acc {
         Ok(())
     }
 
-    /// Fold a partial accumulator (same function, built over a later
-    /// morsel of the same group) into this one. A fresh [`Acc::new`]
-    /// state is the identity, so per-morsel partials seeded per worker
-    /// merge to exactly one combined state.
-    fn merge(&mut self, other: &Acc) -> Result<()> {
-        match (self, other) {
-            (Acc::Count(a), Acc::Count(b)) => *a += *b,
-            (Acc::Sum(a), Acc::Sum(b)) => {
-                if !b.is_null() {
-                    *a = a.checked_add(b)?;
-                }
-            }
-            (Acc::Avg { sum, count }, Acc::Avg { sum: s2, count: c2 }) => {
-                if !s2.is_null() {
-                    *sum = sum.checked_add(s2)?;
-                }
-                *count += *c2;
-            }
-            (Acc::Min(a), Acc::Min(b)) => {
-                if !b.is_null() && (a.is_null() || b < a) {
-                    *a = b.clone();
-                }
-            }
-            (Acc::Max(a), Acc::Max(b)) => {
-                if !b.is_null() && (a.is_null() || b > a) {
-                    *a = b.clone();
-                }
-            }
-            _ => {
-                return Err(Error::Internal(
-                    "mismatched aggregate states in partial merge".to_owned(),
-                ))
-            }
-        }
-        Ok(())
-    }
-
     fn finish(self) -> Value {
         match self {
             Acc::Count(n) => Value::Int(n),
@@ -884,18 +557,23 @@ impl Acc {
     }
 }
 
-/// Grouped aggregation over materialized rows: output rows carry the
+/// Grouped aggregation in one left-to-right pass: output rows carry the
 /// group-key values followed by the aggregate values (the binding of an
-/// `Aggregate` plan node). Public so the distributed engines (HadoopDB's
-/// reducers, the parallel P2P engine) can aggregate shuffled tuples that
-/// never lived in a table.
-pub fn aggregate_rows(
-    rows: &[Row],
+/// `Aggregate` plan node), groups in first-seen order, and every
+/// accumulator folds its inputs in row order. Public so the distributed
+/// engines (HadoopDB's reducers, the parallel P2P engine) can aggregate
+/// shuffled tuples that never lived in a table.
+pub fn aggregate_rows<'a>(
+    rows: impl IntoIterator<Item = &'a Row>,
     input_binding: &Binding,
     group: &[Expr],
     aggs: &[AggItem],
 ) -> Result<Vec<Row>> {
-    aggregate_slice(rows, input_binding, group, aggs)
+    let mut t = GroupTable::new(group, aggs);
+    for row in rows {
+        t.update_row(row, input_binding, group, aggs)?;
+    }
+    Ok(t.finish())
 }
 
 /// Collision-safe fingerprint of a group-key tuple. The group table is
@@ -923,8 +601,6 @@ impl GroupTable {
         };
         if group.is_empty() {
             // Global aggregate: exactly one group even over zero rows.
-            // (Per-morsel tables seed it too — `Acc::new` is the merge
-            // identity, so extra seeds are harmless.)
             t.index.insert(fingerprint_key(&[]), vec![0]);
             t.states
                 .push((Vec::new(), aggs.iter().map(|a| Acc::new(a.func)).collect()));
@@ -973,20 +649,6 @@ impl GroupTable {
         Ok(())
     }
 
-    /// Merge a partial table built over a later morsel: groups unseen
-    /// here are appended in `other`'s first-seen order, so absorbing
-    /// partials in morsel order reproduces the sequential pass's global
-    /// first-seen group order exactly.
-    fn absorb(&mut self, other: GroupTable, aggs: &[AggItem]) -> Result<()> {
-        for (key, accs) in other.states {
-            let s = self.slot(key, aggs);
-            for (mine, theirs) in self.states[s].1.iter_mut().zip(&accs) {
-                mine.merge(theirs)?;
-            }
-        }
-        Ok(())
-    }
-
     fn finish(self) -> Vec<Row> {
         self.states
             .into_iter()
@@ -996,56 +658,6 @@ impl GroupTable {
             })
             .collect()
     }
-}
-
-/// Slice-based aggregation core: inputs spanning more than one morsel
-/// build per-morsel partial group tables on pool workers (the morsel
-/// decomposition depends only on the input length), merged in morsel
-/// order with [`Acc::merge`] — the output is a pure function of the
-/// input rows at any thread count.
-fn aggregate_slice<R>(
-    rows: &[R],
-    input_binding: &Binding,
-    group: &[Expr],
-    aggs: &[AggItem],
-) -> Result<Vec<Row>>
-where
-    R: Borrow<Row> + Sync,
-{
-    let chunks = pool::morsels(rows.len());
-    if chunks.len() <= 1 {
-        return aggregate_iter(rows.iter().map(|r| r.borrow()), input_binding, group, aggs);
-    }
-    let parts = pool::run_tasks(&chunks, |_, &(lo, hi)| -> Result<GroupTable> {
-        let mut t = GroupTable::new(group, aggs);
-        for row in &rows[lo..hi] {
-            t.update_row(row.borrow(), input_binding, group, aggs)?;
-        }
-        Ok(t)
-    });
-    let mut total = GroupTable::new(group, aggs);
-    for p in parts {
-        total.absorb(p?, aggs)?;
-    }
-    Ok(total.finish())
-}
-
-/// Iterator-based aggregation core, shared by the slice entry point
-/// above (sequential path) and callers holding non-contiguous rows.
-fn aggregate_iter<'a, I>(
-    rows: I,
-    input_binding: &Binding,
-    group: &[Expr],
-    aggs: &[AggItem],
-) -> Result<Vec<Row>>
-where
-    I: IntoIterator<Item = &'a Row>,
-{
-    let mut t = GroupTable::new(group, aggs);
-    for row in rows {
-        t.update_row(row, input_binding, group, aggs)?;
-    }
-    Ok(t.finish())
 }
 
 /// Compare two precomputed key tuples under per-dimension descending
@@ -1119,25 +731,8 @@ fn bounded_top_k<T>(
     desc: Arc<[bool]>,
     k: usize,
 ) -> Vec<T> {
-    let indexed = items.enumerate().map(|(i, (key, p))| (key, i, p));
-    bounded_top_k_entries(indexed, desc, k)
-        .into_iter()
-        .map(|(_, _, p)| p)
-        .collect()
-}
-
-/// The same bounded heap over pre-indexed candidates, returning the
-/// surviving `(key, idx, payload)` entries in final order. `idx` is the
-/// row's position in the *global* input sequence, so per-morsel heaps
-/// can be merged through one more pass without disturbing the original
-/// tie-break.
-fn bounded_top_k_entries<T>(
-    items: impl Iterator<Item = (Vec<Value>, usize, T)>,
-    desc: Arc<[bool]>,
-    k: usize,
-) -> Vec<(Vec<Value>, usize, T)> {
     let mut heap: BinaryHeap<TopKEntry<T>> = BinaryHeap::with_capacity(k + 1);
-    for (key, idx, payload) in items {
+    for (idx, (key, payload)) in items.enumerate() {
         heap.push(TopKEntry {
             key,
             idx,
@@ -1150,17 +745,12 @@ fn bounded_top_k_entries<T>(
     }
     heap.into_sorted_vec()
         .into_iter()
-        .map(|e| (e.key, e.idx, e.payload))
+        .map(|e| e.payload)
         .collect()
 }
 
 /// Bounded top-K over shared handles (`LIMIT k` over a sort in the local
-/// plan tree). Inputs spanning more than one morsel run per-morsel
-/// bounded heaps on pool workers — each entry keeps its global input
-/// position — and merge the survivors through one final heap: the top k
-/// of a union of per-morsel top k's is the global top k, and the global
-/// position tie-break keeps the sequence byte-identical to the
-/// sequential heap at any thread count.
+/// plan tree).
 fn top_k_shared(
     rows: Vec<SharedRow>,
     keys: &[(Expr, bool)],
@@ -1172,45 +762,15 @@ fn top_k_shared(
         stats.topk_short_circuits += 1;
     }
     let desc: Arc<[bool]> = keys.iter().map(|(_, d)| *d).collect::<Vec<_>>().into();
-    let chunks = pool::morsels(rows.len());
-    if chunks.len() <= 1 {
-        let mut items = Vec::with_capacity(rows.len());
-        for row in rows {
-            let kv: Vec<Value> = keys
-                .iter()
-                .map(|(e, _)| eval(e, &row, b))
-                .collect::<Result<_>>()?;
-            items.push((kv, row));
-        }
-        return Ok(bounded_top_k(items.into_iter(), desc, k));
+    let mut items = Vec::with_capacity(rows.len());
+    for row in rows {
+        let kv: Vec<Value> = keys
+            .iter()
+            .map(|(e, _)| eval(e, &row, b))
+            .collect::<Result<_>>()?;
+        items.push((kv, row));
     }
-    stats.parallel_morsels += chunks.len() as u64;
-    let parts = pool::run_tasks(
-        &chunks,
-        |_, &(lo, hi)| -> Result<Vec<(Vec<Value>, usize, SharedRow)>> {
-            let mut items = Vec::with_capacity(hi - lo);
-            for (off, row) in rows[lo..hi].iter().enumerate() {
-                let kv: Vec<Value> = keys
-                    .iter()
-                    .map(|(e, _)| eval(e, row, b))
-                    .collect::<Result<_>>()?;
-                items.push((kv, lo + off, row.clone()));
-            }
-            Ok(bounded_top_k_entries(
-                items.into_iter(),
-                Arc::clone(&desc),
-                k,
-            ))
-        },
-    );
-    let mut survivors = Vec::new();
-    for p in parts {
-        survivors.extend(p?);
-    }
-    Ok(bounded_top_k_entries(survivors.into_iter(), desc, k)
-        .into_iter()
-        .map(|(_, _, r)| r)
-        .collect())
+    Ok(bounded_top_k(items.into_iter(), desc, k))
 }
 
 /// Coordinator-side `ORDER BY` / `LIMIT` over an assembled result set.
@@ -1248,27 +808,13 @@ pub fn apply_order_limit(stmt: &SelectStmt, rs: &mut ResultSet) -> bool {
             .collect();
         let desc: Arc<[bool]> = keys.iter().map(|(_, d)| *d).collect::<Vec<_>>().into();
         let n_in = rs.rows.len();
-        let rows = std::mem::take(&mut rs.rows);
-        // Key evaluation is infallible here (failures sort as NULL), so
-        // it fans out per morsel; the heap/sort consumes the keyed rows
-        // sequentially in assembled order either way.
-        let eval_keys = |r: &Row| -> Vec<Value> {
-            keys.iter()
-                .map(|(e, _)| eval(e, r, &binding).unwrap_or(Value::Null))
-                .collect()
-        };
-        let chunks = pool::morsels(rows.len());
-        let kvs: Vec<Vec<Value>> = if chunks.len() <= 1 {
-            rows.iter().map(eval_keys).collect()
-        } else {
-            pool::run_tasks(&chunks, |_, &(lo, hi)| {
-                rows[lo..hi].iter().map(eval_keys).collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        };
-        let keyed = kvs.into_iter().zip(rows);
+        let keyed = std::mem::take(&mut rs.rows).into_iter().map(|r| {
+            let kv: Vec<Value> = keys
+                .iter()
+                .map(|(e, _)| eval(e, &r, &binding).unwrap_or(Value::Null))
+                .collect();
+            (kv, r)
+        });
         match stmt.limit {
             Some(k) if n_in > k => {
                 used_topk = true;
@@ -1671,6 +1217,133 @@ mod tests {
         let rs = query("SELECT COUNT(*), COUNT(x) FROM t", &db);
         assert_eq!(rs.rows[0].get(0), &Value::Int(2));
         assert_eq!(rs.rows[0].get(1), &Value::Int(1));
+    }
+
+    /// Rows in the large fact table: more than two of the 4096-row
+    /// chunks an input used to be split into, plus a ragged tail.
+    const BIG_ROWS: i64 = 3 * 4096 + 17;
+
+    /// `(f_id, f_g, f_k, f_x)`, one `fact` row.
+    type FactRow = (i64, i64, i64, f64);
+
+    /// `fact` (`BIG_ROWS` rows, float measures spread over ~6 orders of
+    /// magnitude and both signs, so float addition order is visible) and
+    /// a small `dim` that matches most of `fact`'s join keys.
+    fn big_db() -> (Database, Vec<FactRow>, Vec<(i64, String)>) {
+        let mut db = Database::new();
+        db.create_table(
+            TableSchema::new(
+                "fact",
+                vec![
+                    ColumnDef::new("f_id", ColumnType::Int),
+                    ColumnDef::new("f_g", ColumnType::Int),
+                    ColumnDef::new("f_k", ColumnType::Int),
+                    ColumnDef::new("f_x", ColumnType::Float),
+                ],
+                vec![0],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        db.create_table(
+            TableSchema::new(
+                "dim",
+                vec![
+                    ColumnDef::new("d_k", ColumnType::Int),
+                    ColumnDef::new("d_name", ColumnType::Str),
+                ],
+                vec![0],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let fact: Vec<FactRow> = (0..BIG_ROWS)
+            .map(|i| {
+                let h = (i * 2_654_435_761) % 1_000_003;
+                let x = (h as f64 / 7.0 - 70_000.0) * if h % 5 == 0 { 1e3 } else { 1e-3 };
+                (i, i % 3, (i * 31) % 50, x)
+            })
+            .collect();
+        let dim: Vec<(i64, String)> = (0..40).map(|k| (k, format!("name-{k}"))).collect();
+        db.bulk_insert(
+            "fact",
+            fact.iter()
+                .map(|&(id, g, k, x)| {
+                    Row::new(vec![
+                        Value::Int(id),
+                        Value::Int(g),
+                        Value::Int(k),
+                        Value::Float(x),
+                    ])
+                })
+                .collect(),
+        )
+        .unwrap();
+        db.bulk_insert(
+            "dim",
+            dim.iter()
+                .map(|(k, n)| Row::new(vec![Value::Int(*k), Value::str(n)]))
+                .collect(),
+        )
+        .unwrap();
+        (db, fact, dim)
+    }
+
+    /// Large inputs against a reference written here: nested loops for
+    /// the join, a left fold in scan order for SUM/AVG, a full stable
+    /// sort for ORDER BY … LIMIT. Equality is exact, floats included, so
+    /// the executor must add every group's values in row order.
+    #[test]
+    fn large_inputs_match_a_nested_loop_left_fold_reference() {
+        let (db, fact, dim) = big_db();
+
+        let rs = query("SELECT f_id, d_name FROM fact, dim WHERE f_k = d_k", &db);
+        let mut want = Vec::new();
+        for &(id, _, k, _) in &fact {
+            for (dk, name) in &dim {
+                if k == *dk {
+                    want.push(Row::new(vec![Value::Int(id), Value::str(name)]));
+                }
+            }
+        }
+        assert!(want.len() > 2 * 4096);
+        assert_eq!(rs.rows, want, "equi-join");
+
+        let rs = query("SELECT f_g, SUM(f_x), AVG(f_x) FROM fact GROUP BY f_g", &db);
+        let mut groups: Vec<(i64, f64, i64)> = Vec::new();
+        for &(_, g, _, x) in &fact {
+            match groups.iter_mut().find(|(k, _, _)| *k == g) {
+                Some((_, sum, n)) => {
+                    *sum += x;
+                    *n += 1;
+                }
+                None => groups.push((g, x, 1)),
+            }
+        }
+        let want: Vec<Row> = groups
+            .iter()
+            .map(|&(g, sum, n)| {
+                Row::new(vec![
+                    Value::Int(g),
+                    Value::Float(sum),
+                    Value::Float(sum / n as f64),
+                ])
+            })
+            .collect();
+        assert_eq!(rs.rows, want, "GROUP BY with float SUM/AVG");
+
+        let rs = query(
+            "SELECT f_id, f_x FROM fact ORDER BY f_k DESC, f_x LIMIT 25",
+            &db,
+        );
+        let mut sorted: Vec<&FactRow> = fact.iter().collect();
+        sorted.sort_by(|a, b| b.2.cmp(&a.2).then(a.3.total_cmp(&b.3)));
+        let want: Vec<Row> = sorted
+            .iter()
+            .take(25)
+            .map(|&&(id, _, _, x)| Row::new(vec![Value::Int(id), Value::Float(x)]))
+            .collect();
+        assert_eq!(rs.rows, want, "ORDER BY … LIMIT");
     }
 
     #[test]

@@ -45,7 +45,7 @@ use crate::plan::{
 /// Maximum estimated selectivity at which an index scan is chosen over
 /// a sequential scan. Above it, driving the scan through the index
 /// would fetch most of the table row-by-row (random order, per-row
-/// dereference) and lose to the morsel-parallel sequential scan.
+/// dereference) and lose to the sequential scan.
 pub const INDEX_SELECTIVITY_THRESHOLD: f64 = 0.25;
 
 /// Key bounds driving a [`PhysPlan::IndexScan`].
@@ -671,7 +671,7 @@ fn prune_scan(scan: PhysPlan, refs: &[ColumnRef]) -> PhysPlan {
 /// Fractions come from `est` when it covers the single predicate, else
 /// from index statistics; candidates are compared without materializing
 /// any row ids. `None` when no filter can drive an index.
-pub(crate) fn best_index_candidate(
+fn best_index_candidate(
     table: &Table,
     name: &str,
     filters: &[Expr],

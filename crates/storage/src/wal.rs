@@ -73,7 +73,7 @@ const CHECKPOINT_MAGIC: u32 = 0xBE57_C4B0;
 /// unsynced buffer is dropped except its first `keep_unsynced` bytes,
 /// which *do* reach the durable log — that is how a torn (partially
 /// persisted) final record is injected.
-/// (`Send + Sync` because the morsel-parallel executor shares peers
+/// (`Send + Sync` because the engines' inter-peer fan-out shares peers
 /// across scoped worker threads; mutation — and thus logging — stays on
 /// the single coordinator thread.)
 pub trait LogDevice: fmt::Debug + Send + Sync {

@@ -40,12 +40,17 @@ impl Default for FrameConfig {
 }
 
 /// Write one frame (header + payload) to `w` and flush it.
+///
+/// The frame goes out in a single `write_all`: a header written on its
+/// own would sit in a small segment that Nagle's algorithm holds back
+/// until the peer's delayed ACK, stalling small responses by tens of
+/// milliseconds.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<()> {
-    let mut header = [0u8; FRAME_HEADER_BYTES];
-    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&stable_hash_bytes(payload).to_le_bytes());
-    w.write_all(&header).map_err(map_io_error)?;
-    w.write_all(payload).map_err(map_io_error)?;
+    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&stable_hash_bytes(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame).map_err(map_io_error)?;
     w.flush().map_err(map_io_error)?;
     Ok(())
 }
@@ -97,6 +102,38 @@ mod tests {
         write_frame(&mut wire, &payload).unwrap();
         assert_eq!(wire.len(), FRAME_HEADER_BYTES + payload.len());
         let mut r = &wire[..];
+        assert_eq!(
+            read_frame(&mut r, &FrameConfig::default()).unwrap(),
+            payload
+        );
+    }
+
+    /// Counts `write` calls; accepts every byte offered.
+    #[derive(Default)]
+    struct RecordingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frame_goes_out_in_one_write() {
+        let payload = b"a small response".to_vec();
+        let mut w = RecordingWriter::default();
+        write_frame(&mut w, &payload).unwrap();
+        assert_eq!(w.writes, 1, "header and payload must share one write");
+        let mut r = &w.bytes[..];
         assert_eq!(
             read_frame(&mut r, &FrameConfig::default()).unwrap(),
             payload

@@ -79,6 +79,9 @@ impl TcpServer {
                 }
                 let Ok(stream) = stream else { continue };
                 let _ = stream.set_read_timeout(Some(STOP_POLL_INTERVAL));
+                // Responses are small request/response frames; do not let
+                // Nagle's algorithm hold them for the client's delayed ACK.
+                let _ = stream.set_nodelay(true);
                 let handler = Arc::clone(&self.handler);
                 let frame_cfg = self.frame_cfg;
                 let stop_conn = Arc::clone(&stop_accept);

@@ -31,7 +31,7 @@ run_test() {
   echo "==> cargo build --release"
   cargo build --release
 
-  echo "==> exec micro-bench (writes BENCH_exec.json + BENCH_par.json + BENCH_plan.json; asserts 2x rows/sec, 5x fewer refresh hops, thread-count determinism, 5x index point-lookup speedup + seq-scan fallback)"
+  echo "==> exec micro-bench (writes BENCH_exec.json + BENCH_plan.json; asserts 2x rows/sec, 5x fewer refresh hops, 5x index point-lookup speedup + seq-scan fallback)"
   cargo run --release -q -p bestpeer-bench --bin exec_bench
 
   echo "==> cache bench (writes BENCH_cache.json; asserts byte-identical results, >=30% latency cut)"
@@ -72,6 +72,12 @@ run_test() {
 
   echo "==> TCP loopback smoke (bestpeer-node processes must agree with the in-process network)"
   cargo test -q --test net_cluster
+
+  echo "==> end-to-end benchmark helper tests (perfbench/)"
+  cargo test -q --manifest-path perfbench/Cargo.toml --offline
+
+  echo "==> end-to-end benchmark correctness smoke (analytic, 200 reads + 200 writes; exits 1 on any wrong answer)"
+  CARGO_TARGET_DIR=target python3 perfbench/run.py --workload analytic --seed 1 --seconds 4 --trace 0
 
   echo "==> cargo test -q (root package: integration tests + examples)"
   cargo test -q
