@@ -12,7 +12,7 @@
 //! role cannot read comes back as NULL, and a readable column with a
 //! range condition returns NULL outside the range.
 
-use bestpeer_common::{Error, Result, Row, Value};
+use bestpeer_common::{Error, Result, Value};
 
 /// What a rule permits on its column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -143,11 +143,11 @@ impl Role {
     }
 
     /// All rules covering `table.column` that grant `read`.
-    fn read_rules<'a>(
+    fn read_rules<'a, 'q>(
         &'a self,
-        table: &'a str,
-        column: &'a str,
-    ) -> impl Iterator<Item = &'a AccessRule> + 'a {
+        table: &'q str,
+        column: &'q str,
+    ) -> impl Iterator<Item = &'a AccessRule> + use<'a, 'q> {
         self.rules
             .iter()
             .filter(move |r| r.table == table && r.column == column && r.privileges.read)
@@ -165,16 +165,26 @@ impl Role {
             .any(|r| r.table == table && r.column == column && r.privileges.write)
     }
 
+    /// How this role masks every value of `table.column`: the rule scan
+    /// runs once per column, not once per value.
+    pub fn column_mask(&self, table: &str, column: &str) -> ColumnMask<'_> {
+        let rules: Vec<&AccessRule> = self.read_rules(table, column).collect();
+        if rules.is_empty() {
+            ColumnMask::Deny
+        } else if rules.iter().any(|r| r.range.is_none()) {
+            ColumnMask::Open
+        } else {
+            ColumnMask::Ranged(rules)
+        }
+    }
+
     /// Mask one value of `table.column` per this role: NULL when the
     /// role cannot read the column at all or the value falls outside
     /// every granting rule's range.
     pub fn mask_value(&self, table: &str, column: &str, v: &Value) -> Value {
-        for rule in self.read_rules(table, column) {
-            if rule.admits(v) {
-                return v.clone();
-            }
-        }
-        Value::Null
+        let mut v = v.clone();
+        self.column_mask(table, column).apply(&mut v);
+        v
     }
 
     /// Encode this role for the wire. Subqueries shipped to remote
@@ -261,43 +271,31 @@ impl Role {
         }
         Ok(Role { name, rules })
     }
+}
 
-    /// Rewrite a result fetched from `table` in place: every column is
-    /// masked per the role. `columns` are the (global) column names of
-    /// the rows.
-    pub fn mask_rows(&self, table: &str, columns: &[String], rows: &mut [Row]) {
-        // Precompute per-column handling to keep the row loop tight.
-        enum Col<'a> {
-            Open,
-            Deny,
-            Ranged(Vec<&'a AccessRule>),
-        }
-        let plan: Vec<Col<'_>> = columns
-            .iter()
-            .map(|c| {
-                let rules: Vec<&AccessRule> = self.read_rules(table, c).collect();
-                if rules.is_empty() {
-                    Col::Deny
-                } else if rules.iter().any(|r| r.range.is_none()) {
-                    Col::Open
-                } else {
-                    Col::Ranged(rules)
-                }
-            })
-            .collect();
-        for row in rows {
-            for (i, col) in plan.iter().enumerate() {
-                match col {
-                    Col::Open => {}
-                    Col::Deny => row.values_mut()[i] = Value::Null,
-                    Col::Ranged(rules) => {
-                        let v = &row.values_mut()[i];
-                        if !rules.iter().any(|r| r.admits(v)) {
-                            row.values_mut()[i] = Value::Null;
-                        }
-                    }
-                }
-            }
+/// How a role masks one result column, resolved once per column from
+/// the role's rules (see [`Role::column_mask`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum ColumnMask<'a> {
+    /// Some rule grants the whole column: values pass untouched.
+    Open,
+    /// No rule grants read: every value becomes NULL.
+    Deny,
+    /// Only ranged rules grant read: a value passes when any of them
+    /// admits it, else it becomes NULL.
+    Ranged(Vec<&'a AccessRule>),
+}
+
+impl ColumnMask<'_> {
+    /// Mask `v` in place.
+    pub fn apply(&self, v: &mut Value) {
+        let keep = match self {
+            ColumnMask::Open => true,
+            ColumnMask::Deny => false,
+            ColumnMask::Ranged(rules) => rules.iter().any(|r| r.admits(v)),
+        };
+        if !keep {
+            *v = Value::Null;
         }
     }
 }
@@ -359,22 +357,25 @@ mod tests {
     }
 
     #[test]
-    fn mask_rows_masks_inaccessible_columns() {
+    fn column_masks_classify_rules_once_per_column() {
         let r = role_sales();
-        let columns = vec![
-            "l_extendedprice".to_string(),
-            "l_shipdate".to_string(),
-            "l_quantity".to_string(),
-        ];
-        let mut rows = vec![
-            Row::new(vec![Value::Float(50.0), Value::Date(100), Value::Int(7)]),
-            Row::new(vec![Value::Float(500.0), Value::Date(200), Value::Int(9)]),
-        ];
-        r.mask_rows("lineitem", &columns, &mut rows);
-        assert_eq!(rows[0].get(0), &Value::Float(50.0));
-        assert_eq!(rows[0].get(2), &Value::Null, "no rule on l_quantity");
-        assert_eq!(rows[1].get(0), &Value::Null, "500 outside [0,100]");
-        assert_eq!(rows[1].get(1), &Value::Date(200), "shipdate fully readable");
+        assert!(matches!(
+            r.column_mask("lineitem", "l_extendedprice"),
+            ColumnMask::Ranged(ref rules) if rules.len() == 1
+        ));
+        assert_eq!(r.column_mask("lineitem", "l_shipdate"), ColumnMask::Open);
+        assert_eq!(r.column_mask("lineitem", "l_quantity"), ColumnMask::Deny);
+        // An unranged rule opens the column even beside a ranged one.
+        let widened = r.plus(AccessRule::read("lineitem", "l_extendedprice"));
+        assert_eq!(
+            widened.column_mask("lineitem", "l_extendedprice"),
+            ColumnMask::Open
+        );
+        let mut v = Value::Float(500.0);
+        role_sales()
+            .column_mask("lineitem", "l_extendedprice")
+            .apply(&mut v);
+        assert_eq!(v, Value::Null, "500 outside [0,100]");
     }
 
     #[test]

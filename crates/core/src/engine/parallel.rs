@@ -19,8 +19,10 @@ use bestpeer_common::{codec, PeerId, Result, Row, Value};
 use bestpeer_simnet::{Phase, Task, Trace};
 use bestpeer_sql::ast::SelectStmt;
 use bestpeer_sql::decompose::decompose;
-use bestpeer_sql::exec::{aggregate_rows, ResultSet};
-use bestpeer_sql::plan::{eval, eval_bool, rewrite_post_agg, AggItem, Binding};
+use bestpeer_sql::exec::{Aggregator, ResultSet};
+use bestpeer_sql::plan::{
+    all_true, bind, bind_all, project_row, rewrite_post_agg, AggItem, Binding, BoundExpr,
+};
 
 use super::{EngineCtx, EngineOutput};
 
@@ -163,12 +165,10 @@ pub fn execute(
         // Hash-partition the joined tuples by group key across the
         // group-level nodes; each node aggregates disjoint groups.
         let mut partitions: Vec<Vec<Row>> = vec![Vec::new(); n];
+        let partition_key = group.first().map(|g| bind(g, &inter_binding));
         for row in inter_rows {
-            let slot = match group.first() {
-                Some(g) => {
-                    let v = eval(g, &row, &inter_binding)?;
-                    (hash_of(&v) % n as u64) as usize
-                }
+            let slot = match &partition_key {
+                Some(g) => (hash_of(&*g.eval(&row)?) % n as u64) as usize,
                 None => 0,
             };
             partitions[slot].push(row);
@@ -180,11 +180,12 @@ pub fn execute(
         // partitions contribute nothing — except that a *global*
         // aggregate must still produce its single row, so slot 0 always
         // runs when there is no GROUP BY.
+        let aggregator = Aggregator::new(&inter_binding, &group, &aggs);
         let aggregated = bestpeer_common::pool::run_tasks(&partitions, |slot, rows| {
             if rows.is_empty() && (!group.is_empty() || slot != 0) {
                 return Ok(None);
             }
-            aggregate_rows(rows, &inter_binding, &group, &aggs).map(Some)
+            aggregator.run(rows).map(Some)
         });
         for (slot, (rows, agg)) in partitions.iter().zip(aggregated).enumerate() {
             let Some(out) = agg? else { continue };
@@ -209,16 +210,10 @@ pub fn execute(
             .iter()
             .map(|it| (rewrite_post_agg(&it.expr, &group), it.output_name()))
             .collect();
+        let bound = bind_all(projs.iter().map(|(e, _)| e), &agg_binding);
         let rows: Vec<Row> = agg_out
             .iter()
-            .map(|r| {
-                Ok(Row::new(
-                    projs
-                        .iter()
-                        .map(|(e, _)| eval(e, r, &agg_binding))
-                        .collect::<Result<Vec<_>>>()?,
-                ))
-            })
+            .map(|r| project_row(&bound, r))
             .collect::<Result<_>>()?;
         let out_bytes = codec::batch_encoded_size(&rows);
         trace.push(Phase::new("root").task(Task::on(submitter).cpu(out_bytes)));
@@ -250,16 +245,10 @@ pub fn execute(
             .map(|it| (it.expr.clone(), it.output_name()))
             .collect()
     };
+    let bound = bind_all(projs.iter().map(|(e, _)| e), &inter_binding);
     let rows: Vec<Row> = inter_rows
         .iter()
-        .map(|r| {
-            Ok(Row::new(
-                projs
-                    .iter()
-                    .map(|(e, _)| eval(e, r, &inter_binding))
-                    .collect::<Result<Vec<_>>>()?,
-            ))
-        })
+        .map(|r| project_row(&bound, r))
         .collect::<Result<_>>()?;
     let out_bytes = codec::batch_encoded_size(&rows);
     trace.push(Phase::new("root").task(Task::on(submitter).cpu(out_bytes)));
@@ -281,6 +270,7 @@ fn local_join(
     residuals: &[bestpeer_sql::Expr],
     out_binding: &Binding,
 ) -> Result<Vec<Row>> {
+    let residuals = bind_all(residuals, out_binding);
     let mut out = Vec::new();
     match keys {
         Some((lk, rk)) => {
@@ -293,7 +283,7 @@ fn local_join(
             for r in right {
                 if let Some(matches) = ht.get(r.get(rk)) {
                     for l in matches {
-                        push_if_residuals(l.concat(r), residuals, out_binding, &mut out)?;
+                        push_if_residuals(l.concat(r), &residuals, &mut out)?;
                     }
                 }
             }
@@ -301,7 +291,7 @@ fn local_join(
         None => {
             for l in left {
                 for r in right {
-                    push_if_residuals(l.concat(r), residuals, out_binding, &mut out)?;
+                    push_if_residuals(l.concat(r), &residuals, &mut out)?;
                 }
             }
         }
@@ -309,18 +299,10 @@ fn local_join(
     Ok(out)
 }
 
-fn push_if_residuals(
-    row: Row,
-    residuals: &[bestpeer_sql::Expr],
-    binding: &Binding,
-    out: &mut Vec<Row>,
-) -> Result<()> {
-    for p in residuals {
-        if !eval_bool(p, &row, binding)? {
-            return Ok(());
-        }
+fn push_if_residuals(row: Row, residuals: &[BoundExpr], out: &mut Vec<Row>) -> Result<()> {
+    if all_true(residuals, &row)? {
+        out.push(row);
     }
-    out.push(row);
     Ok(())
 }
 

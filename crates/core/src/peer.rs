@@ -14,7 +14,7 @@ use bestpeer_sql::ast::{Expr, SelectStmt};
 use bestpeer_sql::exec::{execute_select, ExecStats, ResultSet};
 use bestpeer_storage::Database;
 
-use crate::access::Role;
+use crate::access::{ColumnMask, Role};
 use crate::ca::Certificate;
 use crate::loader::DataLoader;
 
@@ -151,28 +151,34 @@ impl NormalPeer {
         Ok(())
     }
 
-    /// NULL-mask plainly-projected columns per the role.
+    /// NULL-mask plainly-projected columns per the role. Each column's
+    /// mask is resolved once per result; columns the role reads in full
+    /// are not touched.
     fn mask_results(&self, stmt: &SelectStmt, role: &Role, rs: &mut ResultSet) -> Result<()> {
-        // Positions of plain-column projections: (output idx, table, column).
-        let mut plain: Vec<(usize, String, String)> = Vec::new();
+        // (output idx, mask) of every plain-column projection.
+        let mut masks = Vec::new();
         if stmt.projections.is_empty() {
             // SELECT *: all columns of the single FROM table, in order.
             let table = &stmt.from[0];
             for (i, col) in rs.columns.iter().enumerate() {
-                plain.push((i, table.clone(), col.clone()));
+                masks.push((i, role.column_mask(table, col)));
             }
         } else {
             for (i, item) in stmt.projections.iter().enumerate() {
                 if let Expr::Column(c) = &item.expr {
                     let table = self.owning_table(stmt, &c.column, c.table.as_deref())?;
-                    plain.push((i, table, c.column.clone()));
+                    masks.push((i, role.column_mask(&table, &c.column)));
                 }
             }
         }
+        masks.retain(|(_, m)| *m != ColumnMask::Open);
+        if masks.is_empty() {
+            return Ok(());
+        }
         for row in &mut rs.rows {
-            for (i, table, column) in &plain {
-                let masked = role.mask_value(table, column, row.get(*i));
-                row.values_mut()[*i] = masked;
+            let values = row.values_mut();
+            for (i, mask) in &masks {
+                mask.apply(&mut values[*i]);
             }
         }
         Ok(())
@@ -317,6 +323,103 @@ mod tests {
         );
         assert!(rs.rows.iter().all(|r| r.get(0).is_null()));
         assert!(rs.rows.iter().any(|r| !r.get(1).is_null()));
+    }
+
+    /// The per-cell rule of §4.4, written out independently of
+    /// `Role::column_mask`: a value survives when some rule on its
+    /// column grants read and admits it.
+    fn reference_mask(role: &Role, table: &str, column: &str, v: &Value) -> Value {
+        let admitted = role.rules.iter().any(|r| {
+            r.table == table
+                && r.column == column
+                && r.privileges.read
+                && r.range.as_ref().is_none_or(|(lo, hi)| v >= lo && v <= hi)
+        });
+        if admitted {
+            v.clone()
+        } else {
+            Value::Null
+        }
+    }
+
+    #[test]
+    fn subquery_masks_match_a_per_cell_reference() {
+        let p = peer();
+        // l_shipdate: open (an unranged rule beside a ranged one);
+        // l_extendedprice: two ranged rules only; l_orderkey: a write-only
+        // rule, which grants no read.
+        let role = Role::new("mixed")
+            .plus(AccessRule::read("lineitem", "l_shipdate"))
+            .plus(
+                AccessRule::read("lineitem", "l_shipdate")
+                    .with_range(Value::Date(0), Value::Date(150)),
+            )
+            .plus(
+                AccessRule::read("lineitem", "l_extendedprice")
+                    .with_range(Value::Float(0.0), Value::Float(60.0)),
+            )
+            .plus(
+                AccessRule::read("lineitem", "l_extendedprice")
+                    .with_range(Value::Float(400.0), Value::Float(600.0)),
+            )
+            .plus(AccessRule {
+                privileges: crate::access::Privilege {
+                    read: false,
+                    write: true,
+                },
+                ..AccessRule::read("lineitem", "l_orderkey")
+            });
+        for sql in [
+            "SELECT * FROM lineitem",
+            "SELECT l_shipdate, l_orderkey, l_extendedprice FROM lineitem",
+        ] {
+            let stmt = parse_select(sql).unwrap();
+            let (raw, _) = execute_select(&stmt, &p.db).unwrap();
+            let (masked, _) = p.execute_subquery(&stmt, &role).unwrap();
+            assert_eq!(masked.columns, raw.columns, "{sql}");
+            assert_eq!(masked.rows.len(), raw.rows.len(), "{sql}");
+            for (m, r) in masked.rows.iter().zip(&raw.rows) {
+                for (i, col) in raw.columns.iter().enumerate() {
+                    let want = reference_mask(&role, "lineitem", col, r.get(i));
+                    assert_eq!(m.get(i), &want, "{sql}: {col} of {r:?}");
+                }
+            }
+            // The fixture exercises every mask outcome.
+            let prices: Vec<&Value> = masked
+                .rows
+                .iter()
+                .map(|r| {
+                    r.get(
+                        masked
+                            .columns
+                            .iter()
+                            .position(|c| c == "l_extendedprice")
+                            .unwrap(),
+                    )
+                })
+                .collect();
+            assert_eq!(
+                prices,
+                [&Value::Float(50.0), &Value::Float(500.0), &Value::Null],
+                "{sql}"
+            );
+        }
+        // A full-read role returns exactly the unmasked execution.
+        let full = Role::full_read(
+            "R",
+            &[("lineitem", &["l_orderkey", "l_extendedprice", "l_shipdate"])],
+        );
+        for sql in [
+            "SELECT * FROM lineitem",
+            "SELECT l_shipdate, l_orderkey FROM lineitem WHERE l_extendedprice > 60.0",
+        ] {
+            let stmt = parse_select(sql).unwrap();
+            assert_eq!(
+                p.execute_subquery(&stmt, &full).unwrap(),
+                execute_select(&stmt, &p.db).unwrap(),
+                "{sql}"
+            );
+        }
     }
 
     #[test]

@@ -339,3 +339,29 @@ fn online_aggregation_converges_to_exact() {
         .submit_online_aggregate(submitter, bestpeer_tpch::Q4, "R", 0)
         .is_err());
 }
+
+/// A type error raised while evaluating the query fails it on every
+/// engine with the same error kind: MapReduce's reducers propagate
+/// evaluation errors instead of silently dropping rows or groups.
+#[test]
+fn evaluation_errors_surface_identically_on_every_engine() {
+    let (mut net, _) = setup(3, 400);
+    let submitter = net.peer_ids()[0];
+    for sql in [
+        "SELECT c_mktsegment, SUM(c_name) AS s FROM customer, orders \
+         WHERE c_custkey = o_custkey GROUP BY c_mktsegment",
+        "SELECT SUM(c_name) AS s FROM customer, orders WHERE c_custkey = o_custkey",
+        "SELECT c_name + 1 AS x FROM customer, orders WHERE c_custkey = o_custkey",
+    ] {
+        for engine in [
+            EngineChoice::Basic,
+            EngineChoice::ParallelP2P,
+            EngineChoice::MapReduce,
+        ] {
+            let err = net
+                .submit_query(submitter, sql, "R", engine, 0)
+                .expect_err(&format!("{engine:?} must fail on {sql}"));
+            assert_eq!(err.kind(), "type", "{engine:?} on {sql}: {err}");
+        }
+    }
+}

@@ -32,11 +32,11 @@ impl Default for MrConfig {
     }
 }
 
-/// The result of one executed job.
+/// The result of one executed job. Its output rows live in HDFS only
+/// (reducer parts in slot order, or map parts in input order); read them
+/// with [`Hdfs::read`] at `output_path`.
 #[derive(Debug)]
 pub struct JobOutcome {
-    /// All output rows (reducer parts concatenated).
-    pub output: Vec<Row>,
     /// HDFS path the output was written to.
     pub output_path: String,
     /// The phases this job contributed to the query's trace.
@@ -72,17 +72,19 @@ impl MapReduceEngine {
         format!("/jobs/{job_name}/output")
     }
 
-    /// Execute one job; output rows are written to HDFS and returned.
-    pub fn run_job(&self, job: &MapReduceJob, hdfs: &mut Hdfs) -> Result<JobOutcome> {
+    /// Execute one job; its output rows are written to HDFS. The job's
+    /// input rows are moved through map, shuffle and reduce, never
+    /// copied. The first error a map or reduce function returns fails
+    /// the job.
+    pub fn run_job(&self, job: MapReduceJob, hdfs: &mut Hdfs) -> Result<JobOutcome> {
         // (worker, rows, explicit disk bytes or None = encoded row bytes)
-        let inputs: Vec<(PeerId, Vec<Row>, Option<u64>)> = match &job.input {
-            JobInput::Local(parts) => parts.iter().map(|(w, r)| (*w, r.clone(), None)).collect(),
-            JobInput::LocalWithCost(parts) => parts
-                .iter()
-                .map(|(w, r, d)| (*w, r.clone(), Some(*d)))
-                .collect(),
+        let inputs: Vec<(PeerId, Vec<Row>, Option<u64>)> = match job.input {
+            JobInput::Local(parts) => parts.into_iter().map(|(w, r)| (w, r, None)).collect(),
+            JobInput::LocalWithCost(parts) => {
+                parts.into_iter().map(|(w, r, d)| (w, r, Some(d))).collect()
+            }
             JobInput::HdfsFile(path) => hdfs
-                .parts(path)?
+                .parts(&path)?
                 .into_iter()
                 .map(|(w, r)| (w, r, None))
                 .collect(),
@@ -99,19 +101,18 @@ impl MapReduceEngine {
         // across the reducers by key hash.
         let mut reducer_inputs: Vec<Vec<(Value, Row)>> = vec![Vec::new(); n_red];
         let mut map_phase = Phase::new(format!("{}:map", job.name));
-        let mut map_only_output: Vec<(PeerId, Vec<Row>)> = Vec::new();
-        for (worker, rows, disk_override) in &inputs {
-            let row_bytes = codec::batch_encoded_size(rows);
+        for (worker, rows, disk_override) in inputs {
+            let row_bytes = codec::batch_encoded_size(&rows);
             let in_bytes = disk_override.unwrap_or(row_bytes);
             let mut emitted: Vec<(Value, Row)> = Vec::new();
             for row in rows {
-                (job.map)(row, &mut emitted);
+                (job.map)(row, &mut emitted)?;
             }
             let out_bytes: u64 = emitted
                 .iter()
                 .map(|(k, r)| k.byte_size() + r.byte_size())
                 .sum();
-            let mut task = Task::on(*worker)
+            let mut task = Task::on(worker)
                 .disk(in_bytes)
                 .cpu(row_bytes + out_bytes)
                 .fixed(self.cfg.startup + self.cfg.task_launch);
@@ -139,20 +140,18 @@ impl MapReduceEngine {
                 // to HDFS.
                 let out_rows: Vec<Row> = emitted.into_iter().map(|(_, r)| r).collect();
                 let out_bytes = codec::batch_encoded_size(&out_rows);
-                let placement = hdfs.append_part(&out_path, out_rows.clone())?;
+                let placement = hdfs.append_part(&out_path, out_rows)?;
                 for replica in placement.iter().skip(1) {
                     task = task.send(*replica, out_bytes);
                 }
-                map_only_output.push((*worker, out_rows));
             }
             map_phase.push(task);
         }
         phases.push(map_phase);
 
         // ---- Reduce phase ------------------------------------------
-        let output = if let Some(reduce) = &job.reduce {
+        if let Some(reduce) = &job.reduce {
             let mut reduce_phase = Phase::new(format!("{}:reduce", job.name));
-            let mut all_out = Vec::new();
             for (slot, pairs) in reducer_inputs.into_iter().enumerate() {
                 let host = self.reducer_host(slot);
                 let in_bytes: u64 = pairs
@@ -166,8 +165,8 @@ impl MapReduceEngine {
                     groups.entry(k).or_default().push(r);
                 }
                 let mut out_rows = Vec::new();
-                for (k, rows) in &groups {
-                    reduce(k, rows, &mut out_rows);
+                for (k, rows) in groups {
+                    reduce(&k, rows, &mut out_rows)?;
                 }
                 let out_bytes = codec::batch_encoded_size(&out_rows);
                 // CPU: read + sort (2x) + emit.
@@ -175,43 +174,39 @@ impl MapReduceEngine {
                     .cpu(2 * in_bytes + out_bytes)
                     .fixed(self.cfg.shuffle_poll + self.cfg.task_launch)
                     .disk(out_bytes);
-                let placement = hdfs.append_part(&out_path, out_rows.clone())?;
+                let placement = hdfs.append_part(&out_path, out_rows)?;
                 for replica in placement.iter().skip(1) {
                     task = task.send(*replica, out_bytes);
                 }
                 reduce_phase.push(task);
-                all_out.extend(out_rows);
             }
             phases.push(reduce_phase);
-            all_out
-        } else {
-            map_only_output
-                .into_iter()
-                .flat_map(|(_, rows)| rows)
-                .collect()
-        };
+        }
 
         Ok(JobOutcome {
-            output,
             output_path: out_path,
             phases,
         })
     }
 
     /// Execute a chain of jobs (each later job typically reads the
-    /// previous job's HDFS output); returns the final output and the
-    /// combined trace.
-    pub fn run_chain(&self, jobs: &[MapReduceJob], hdfs: &mut Hdfs) -> Result<(Vec<Row>, Trace)> {
+    /// previous job's HDFS output); returns the last job's output and
+    /// the combined trace.
+    pub fn run_chain(&self, jobs: Vec<MapReduceJob>, hdfs: &mut Hdfs) -> Result<(Vec<Row>, Trace)> {
         let mut trace = Trace::new();
-        let mut last_output = Vec::new();
+        let mut last_path = None;
         for job in jobs {
             let outcome = self.run_job(job, hdfs)?;
             for p in outcome.phases {
                 trace.push(p);
             }
-            last_output = outcome.output;
+            last_path = Some(outcome.output_path);
         }
-        Ok((last_output, trace))
+        let output = match last_path {
+            Some(path) => hdfs.read(&path)?,
+            None => Vec::new(),
+        };
+        Ok((output, trace))
     }
 
     fn reducer_host(&self, slot: usize) -> PeerId {
@@ -266,10 +261,14 @@ mod tests {
     fn sum_by_key_job(reducers: usize) -> MapReduceJob {
         MapReduceJob {
             name: "sum".into(),
-            map: Box::new(|row, out| out.push((row.get(0).clone(), row.clone()))),
+            map: Box::new(|row, out| {
+                out.push((row.get(0).clone(), row));
+                Ok(())
+            }),
             reduce: Some(Box::new(|key, rows, out| {
                 let total: i64 = rows.iter().map(|r| r.get(1).as_int().unwrap()).sum();
                 out.push(Row::new(vec![key.clone(), Value::Int(total)]));
+                Ok(())
             })),
             input: local_input(),
             reducers,
@@ -280,8 +279,8 @@ mod tests {
     fn aggregation_job_produces_correct_groups() {
         let eng = MapReduceEngine::new(workers(2), fast_cfg());
         let mut fs = Hdfs::new(workers(2), 3);
-        let outcome = eng.run_job(&sum_by_key_job(2), &mut fs).unwrap();
-        let mut rows = outcome.output;
+        let outcome = eng.run_job(sum_by_key_job(2), &mut fs).unwrap();
+        let mut rows = fs.read(&outcome.output_path).unwrap();
         rows.sort();
         assert_eq!(
             rows,
@@ -291,15 +290,13 @@ mod tests {
                 Row::new(vec![Value::Int(3), Value::Int(7)]),
             ]
         );
-        // Output is durable in HDFS.
-        assert_eq!(fs.read(&outcome.output_path).unwrap().len(), 3);
     }
 
     #[test]
     fn trace_charges_startup_and_shuffle() {
         let eng = MapReduceEngine::new(workers(2), fast_cfg());
         let mut fs = Hdfs::new(workers(2), 3);
-        let outcome = eng.run_job(&sum_by_key_job(2), &mut fs).unwrap();
+        let outcome = eng.run_job(sum_by_key_job(2), &mut fs).unwrap();
         assert_eq!(outcome.phases.len(), 2, "map + reduce phases");
         let map_phase = &outcome.phases[0];
         assert!(
@@ -331,17 +328,19 @@ mod tests {
             name: "filter".into(),
             map: Box::new(|row, out| {
                 if row.get(1).as_int().unwrap() >= 10 {
-                    out.push((Value::Int(0), row.clone()));
+                    out.push((Value::Int(0), row));
                 }
+                Ok(())
             }),
             reduce: None,
             input: local_input(),
             reducers: 1,
         };
-        let outcome = eng.run_job(&job, &mut fs).unwrap();
+        let outcome = eng.run_job(job, &mut fs).unwrap();
         assert_eq!(outcome.phases.len(), 1, "no reduce phase");
-        assert_eq!(outcome.output.len(), 2); // amounts 10 and 20
-                                             // Map-only output replicated to other datanodes.
+        // Amounts 10 and 20; map-only output is replicated to other
+        // datanodes.
+        assert_eq!(fs.read(&outcome.output_path).unwrap().len(), 2);
         assert!(outcome.phases[0].tasks.iter().any(|t| !t.sends.is_empty()));
     }
 
@@ -353,15 +352,19 @@ mod tests {
         // Second job: global sum over the per-key sums.
         let second = MapReduceJob {
             name: "total".into(),
-            map: Box::new(|row, out| out.push((Value::Int(0), row.clone()))),
+            map: Box::new(|row, out| {
+                out.push((Value::Int(0), row));
+                Ok(())
+            }),
             reduce: Some(Box::new(|_, rows, out| {
                 let total: i64 = rows.iter().map(|r| r.get(1).as_int().unwrap()).sum();
                 out.push(Row::new(vec![Value::Int(total)]));
+                Ok(())
             })),
             input: JobInput::HdfsFile(MapReduceEngine::output_path("sum")),
             reducers: 1,
         };
-        let (rows, trace) = eng.run_chain(&[first, second], &mut fs).unwrap();
+        let (rows, trace) = eng.run_chain(vec![first, second], &mut fs).unwrap();
         assert_eq!(rows, vec![Row::new(vec![Value::Int(42)])]);
         assert_eq!(trace.phases.len(), 4, "two jobs x (map + reduce)");
         // Two jobs means two start-up payments — the crux of Fig. 10.
@@ -378,8 +381,8 @@ mod tests {
     fn rerunning_a_job_overwrites_output() {
         let eng = MapReduceEngine::new(workers(2), fast_cfg());
         let mut fs = Hdfs::new(workers(2), 3);
-        eng.run_job(&sum_by_key_job(1), &mut fs).unwrap();
-        let second = eng.run_job(&sum_by_key_job(1), &mut fs).unwrap();
+        eng.run_job(sum_by_key_job(1), &mut fs).unwrap();
+        let second = eng.run_job(sum_by_key_job(1), &mut fs).unwrap();
         assert_eq!(
             fs.read(&second.output_path).unwrap().len(),
             3,
@@ -391,7 +394,7 @@ mod tests {
     fn reducer_count_spreads_hosts() {
         let eng = MapReduceEngine::new(workers(4), fast_cfg());
         let mut fs = Hdfs::new(workers(4), 3);
-        let outcome = eng.run_job(&sum_by_key_job(4), &mut fs).unwrap();
+        let outcome = eng.run_job(sum_by_key_job(4), &mut fs).unwrap();
         let reduce_hosts: std::collections::HashSet<PeerId> =
             outcome.phases[1].tasks.iter().map(|t| t.node).collect();
         assert!(reduce_hosts.len() > 1, "reducers spread across workers");

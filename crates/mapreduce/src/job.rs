@@ -1,14 +1,16 @@
 //! Job descriptions: map and reduce as closures over rows.
 
-use bestpeer_common::{PeerId, Row, Value};
+use bestpeer_common::{PeerId, Result, Row, Value};
 
-/// Map function: called once per input row; emits zero or more
-/// `(shuffle key, tuple)` pairs into `out`.
-pub type MapFn = Box<dyn Fn(&Row, &mut Vec<(Value, Row)>) + Send + Sync>;
+/// Map function: called once per input row, which it takes by value;
+/// emits zero or more `(shuffle key, tuple)` pairs into `out`. An error
+/// fails the job.
+pub type MapFn = Box<dyn Fn(Row, &mut Vec<(Value, Row)>) -> Result<()> + Send + Sync>;
 
 /// Reduce function: called once per distinct shuffle key with all tuples
-/// for the key; emits output rows into `out`.
-pub type ReduceFn = Box<dyn Fn(&Value, &[Row], &mut Vec<Row>) + Send + Sync>;
+/// for the key, which it takes by value; emits output rows into `out`.
+/// An error fails the job.
+pub type ReduceFn = Box<dyn Fn(&Value, Vec<Row>, &mut Vec<Row>) -> Result<()> + Send + Sync>;
 
 /// Where a job's map tasks read their input.
 #[derive(Debug, Clone)]
@@ -49,7 +51,10 @@ impl MapReduceJob {
     pub fn identity(name: impl Into<String>, input: JobInput) -> Self {
         MapReduceJob {
             name: name.into(),
-            map: Box::new(|row, out| out.push((Value::Int(0), row.clone()))),
+            map: Box::new(|row, out| {
+                out.push((Value::Int(0), row));
+                Ok(())
+            }),
             reduce: None,
             input,
             reducers: 1,
@@ -78,7 +83,7 @@ mod tests {
         assert!(j.reduce.is_none());
         assert_eq!(j.reducers, 1);
         let mut out = Vec::new();
-        (j.map)(&Row::new(vec![Value::Int(7)]), &mut out);
+        (j.map)(Row::new(vec![Value::Int(7)]), &mut out).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].1, Row::new(vec![Value::Int(7)]));
         let dbg = format!("{j:?}");

@@ -19,13 +19,15 @@ use bestpeer_common::{Error, PeerId, Result, Row, TableSchema, Value};
 use bestpeer_simnet::Trace;
 use bestpeer_sql::ast::{ColumnRef, Expr, SelectStmt};
 use bestpeer_sql::dist::split_aggregate;
-use bestpeer_sql::exec::{aggregate_rows, ResultSet};
+use bestpeer_sql::exec::{Aggregator, ResultSet};
 use bestpeer_sql::parse_select;
-use bestpeer_sql::plan::{eval, eval_bool, rewrite_post_agg, AggItem, Binding};
+use bestpeer_sql::plan::{
+    all_true, bind_all, project_row, rewrite_post_agg, AggItem, Binding, BoundExpr,
+};
 
 use crate::engine::MapReduceEngine;
 use crate::hdfs::Hdfs;
-use crate::job::{JobInput, MapReduceJob};
+use crate::job::{JobInput, MapFn, MapReduceJob, ReduceFn};
 
 /// Where the compiled jobs read base-table tuples: any collection of
 /// nodes that can evaluate a single-table SQL statement locally.
@@ -116,12 +118,15 @@ fn map_only_query(
     let (parts, columns) = local_results(stmt, workers)?;
     let job = MapReduceJob {
         name: "select".into(),
-        map: Box::new(|row, out| out.push((Value::Int(0), row.clone()))),
+        map: Box::new(|row, out| {
+            out.push((Value::Int(0), row));
+            Ok(())
+        }),
         reduce: None,
         input: JobInput::LocalWithCost(parts),
         reducers: workers.peers().len(),
     };
-    let (rows, trace) = engine.run_chain(std::slice::from_ref(&job), hdfs)?;
+    let (rows, trace) = engine.run_chain(vec![job], hdfs)?;
     Ok((ResultSet { columns, rows }, trace))
 }
 
@@ -141,17 +146,19 @@ fn single_job_aggregate(
     let columns: Vec<String> = combine.final_projs.iter().map(|(_, n)| n.clone()).collect();
     let job = MapReduceJob {
         name: "aggregate".into(),
-        map: Box::new(move |row, out| out.push((group_key_of(row, k), row.clone()))),
+        map: Box::new(move |row, out| {
+            out.push((group_key_of(&row, k), row));
+            Ok(())
+        }),
         reduce: Some(Box::new(move |_key, rows, out| {
             // Combine partials for this one group.
-            if let Ok(rs) = combine.apply(&partial_cols_for_reduce, rows) {
-                out.extend(rs.rows);
-            }
+            out.extend(combine.apply(&partial_cols_for_reduce, &rows)?.rows);
+            Ok(())
         })),
         input: JobInput::LocalWithCost(parts),
         reducers: workers.peers().len(),
     };
-    let (mut rows, trace) = engine.run_chain(std::slice::from_ref(&job), hdfs)?;
+    let (mut rows, trace) = engine.run_chain(vec![job], hdfs)?;
     // A global aggregate over an entirely-empty cluster still returns
     // one row (SQL semantics); partials always exist per worker, so the
     // only truly-empty case is zero workers, which the constructor
@@ -293,7 +300,6 @@ fn join_pipeline(
     // Build and run one repartition-join job per step.
     let mut trace = Trace::new();
     let mut prev_path: Option<String> = None;
-    let mut left_binding = table_bindings[0].clone();
     let n_workers = workers.peers().len();
     let final_step = steps.len() - 1;
     for (k, step) in steps.iter().enumerate() {
@@ -319,9 +325,8 @@ fn join_pipeline(
             parts.push((peer, tag_rows(rows, 1), scanned));
         }
 
-        let left_arity = left_binding.arity();
         let keys = step.keys;
-        let map: crate::job::MapFn = Box::new(move |row, out| {
+        let map: MapFn = Box::new(move |row, out| {
             let key = match keys {
                 Some((l, r)) => {
                     let tag = row.get(0).as_int().unwrap_or(0);
@@ -330,57 +335,43 @@ fn join_pipeline(
                 }
                 None => Value::Int(0),
             };
-            out.push((key, row.clone()));
+            out.push((key, row));
+            Ok(())
         });
-        let residuals = step.residuals.clone();
-        let out_binding = step.out_binding.clone();
+        let residuals = bind_all(&step.residuals, &step.out_binding);
         // The last join of a non-aggregate query projects in the reducer.
-        let project: Option<(Vec<Expr>, Binding)> = if k == final_step && !stmt.is_aggregate() {
-            let exprs: Vec<Expr> = final_projections(stmt, &out_binding)?
-                .into_iter()
-                .map(|(e, _)| e)
-                .collect();
-            Some((exprs, out_binding.clone()))
+        let project: Option<Vec<BoundExpr>> = if k == final_step && !stmt.is_aggregate() {
+            let projs = final_projections(stmt, &step.out_binding)?;
+            Some(bind_all(projs.iter().map(|(e, _)| e), &step.out_binding))
         } else {
             None
         };
-        let reduce: crate::job::ReduceFn = Box::new(move |_key, rows, out| {
+        let reduce: ReduceFn = Box::new(move |_key, rows, out| {
             let mut left = Vec::new();
             let mut right = Vec::new();
             for r in rows {
-                let tag = r.get(0).as_int().unwrap_or(0);
-                let stripped = Row::new(r.values()[1..].to_vec());
+                let mut vals = r.into_values();
+                let tag = vals.remove(0).as_int().unwrap_or(0);
                 if tag == 0 {
-                    left.push(stripped);
+                    left.push(Row::new(vals));
                 } else {
-                    right.push(stripped);
+                    right.push(Row::new(vals));
                 }
             }
             for a in &left {
                 for b in &right {
                     let joined = a.concat(b);
-                    let keep = residuals
-                        .iter()
-                        .all(|p| eval_bool(p, &joined, &out_binding).unwrap_or(false));
-                    if !keep {
+                    if !all_true(&residuals, &joined)? {
                         continue;
                     }
-                    match &project {
-                        Some((exprs, binding)) => {
-                            if let Ok(vals) = exprs
-                                .iter()
-                                .map(|e| eval(e, &joined, binding))
-                                .collect::<Result<Vec<_>>>()
-                            {
-                                out.push(Row::new(vals));
-                            }
-                        }
-                        None => out.push(joined),
-                    }
+                    out.push(match &project {
+                        Some(exprs) => project_row(exprs, &joined)?,
+                        None => joined,
+                    });
                 }
             }
+            Ok(())
         });
-        let _ = left_arity;
         let job = MapReduceJob {
             name: format!("join{k}"),
             map,
@@ -390,9 +381,8 @@ fn join_pipeline(
         };
         // Jobs run one at a time so each job's HDFS output exists
         // before the next job reads it.
-        let outcome = engine.run_job(&job, hdfs)?;
+        let outcome = engine.run_job(job, hdfs)?;
         prev_path = Some(outcome.output_path);
-        left_binding = step.out_binding.clone();
         for p in outcome.phases {
             trace.push(p);
         }
@@ -405,33 +395,28 @@ fn join_pipeline(
         // Final aggregation job over the joined tuples.
         let group = stmt.group_by.clone();
         let aggs = collect_agg_items(stmt);
-        let map_binding = final_binding.clone();
-        let map_group = group.clone();
-        let map: crate::job::MapFn = Box::new(move |row, out| {
-            let key = composite_group_key(&map_group, row, &map_binding);
-            out.push((key, row.clone()));
+        let map_group = bind_all(&group, &final_binding);
+        let map: MapFn = Box::new(move |row, out| {
+            let key = composite_group_key(&map_group, &row)?;
+            out.push((key, row));
+            Ok(())
         });
-        let red_binding = final_binding.clone();
-        let red_group = group.clone();
-        let red_aggs = aggs.clone();
-        let projs = final_agg_projections(stmt, &group, &aggs);
-        let reduce: crate::job::ReduceFn = Box::new(move |_key, rows, out| {
-            if let Ok(agg_rows) = aggregate_rows(rows, &red_binding, &red_group, &red_aggs) {
-                // Binding of aggregate output: group displays + agg names.
-                let mut cols: Vec<(Option<String>, String)> =
-                    red_group.iter().map(|g| (None, g.to_string())).collect();
-                cols.extend(red_aggs.iter().map(|a| (None, a.name.clone())));
-                let b = Binding::from_cols(cols);
-                for r in agg_rows {
-                    if let Ok(vals) = projs
-                        .iter()
-                        .map(|(e, _)| eval(e, &r, &b))
-                        .collect::<Result<Vec<_>>>()
-                    {
-                        out.push(Row::new(vals));
-                    }
-                }
+        // Binding of aggregate output: group displays + agg names.
+        let mut cols: Vec<(Option<String>, String)> =
+            group.iter().map(|g| (None, g.to_string())).collect();
+        cols.extend(aggs.iter().map(|a| (None, a.name.clone())));
+        let final_projs = final_agg_projections(stmt, &group);
+        let projs = bind_all(
+            final_projs.iter().map(|(e, _)| e),
+            &Binding::from_cols(cols),
+        );
+        let aggregator = Aggregator::new(&final_binding, &group, &aggs);
+        let (red_projs, red_aggregator) = (projs.clone(), aggregator.clone());
+        let reduce: ReduceFn = Box::new(move |_key, rows, out| {
+            for r in red_aggregator.run(&rows)? {
+                out.push(project_row(&red_projs, &r)?);
             }
+            Ok(())
         });
         let agg_job = MapReduceJob {
             name: "final-agg".into(),
@@ -440,29 +425,20 @@ fn join_pipeline(
             input: JobInput::HdfsFile(last_path),
             reducers: n_workers,
         };
-        let outcome = engine.run_job(&agg_job, hdfs)?;
+        let outcome = engine.run_job(agg_job, hdfs)?;
         for p in outcome.phases {
             trace.push(p);
         }
-        let mut rows = outcome.output;
+        let mut rows = hdfs.read(&outcome.output_path)?;
         if rows.is_empty() && stmt.group_by.is_empty() {
             // SQL semantics: a global aggregate over an empty join still
             // yields one row (COUNT = 0, SUM = NULL, ...). No tuple ever
             // reached a reducer, so synthesize it here.
-            let agg_rows = aggregate_rows(&[], &final_binding, &group, &aggs)?;
-            let mut cols: Vec<(Option<String>, String)> = Vec::new();
-            cols.extend(aggs.iter().map(|a| (None, a.name.clone())));
-            let b = Binding::from_cols(cols);
-            let projs = final_agg_projections(stmt, &group, &aggs);
-            for r in agg_rows {
-                let vals: Result<Vec<Value>> = projs.iter().map(|(e, _)| eval(e, &r, &b)).collect();
-                rows.push(Row::new(vals?));
+            for r in aggregator.run(&[])? {
+                rows.push(project_row(&projs, &r)?);
             }
         }
-        let columns = final_agg_projections(stmt, &group, &aggs)
-            .into_iter()
-            .map(|(_, n)| n)
-            .collect();
+        let columns = final_projs.into_iter().map(|(_, n)| n).collect();
         Ok((ResultSet { columns, rows }, trace))
     } else {
         let columns = final_projections(stmt, &final_binding)?
@@ -522,20 +498,20 @@ fn group_key_of(row: &Row, k: usize) -> Value {
     }
 }
 
-/// Evaluate group expressions and pack them into one shuffle key.
-fn composite_group_key(group: &[Expr], row: &Row, b: &Binding) -> Value {
-    match group.len() {
-        0 => Value::Int(0),
-        1 => eval(&group[0], row, b).unwrap_or(Value::Null),
+/// Evaluate bound group expressions and pack them into one shuffle key.
+fn composite_group_key(group: &[BoundExpr], row: &Row) -> Result<Value> {
+    Ok(match group {
+        [] => Value::Int(0),
+        [g] => g.value(row)?,
         _ => {
             let mut s = String::new();
             for g in group {
-                s.push_str(&eval(g, row, b).unwrap_or(Value::Null).to_string());
+                s.push_str(&g.eval(row)?.to_string());
                 s.push('\u{1}');
             }
             Value::Str(s)
         }
-    }
+    })
 }
 
 /// The final projection expressions and names for a non-aggregate query
@@ -598,11 +574,7 @@ fn collect_agg_items(stmt: &SelectStmt) -> Vec<AggItem> {
 
 /// Projections of an aggregate query, rewritten to reference the
 /// aggregate output columns.
-fn final_agg_projections(
-    stmt: &SelectStmt,
-    group: &[Expr],
-    _aggs: &[AggItem],
-) -> Vec<(Expr, String)> {
+fn final_agg_projections(stmt: &SelectStmt, group: &[Expr]) -> Vec<(Expr, String)> {
     stmt.projections
         .iter()
         .map(|it| (rewrite_post_agg(&it.expr, group), it.output_name()))

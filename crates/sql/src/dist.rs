@@ -13,7 +13,7 @@ use bestpeer_common::{Error, Result, Row, Value};
 
 use crate::ast::{AggFunc, ColumnRef, Expr, SelectItem, SelectStmt};
 use crate::exec::ResultSet;
-use crate::plan::{eval, Binding};
+use crate::plan::{bind_all, project_row, Binding};
 
 /// How one final aggregate is reassembled from partial columns.
 #[derive(Debug, Clone, PartialEq)]
@@ -237,8 +237,6 @@ impl Combine {
     /// Merge partial rows (with the given column names, as produced by
     /// the partial statement) into the final result set.
     pub fn apply(&self, partial_columns: &[String], rows: &[Row]) -> Result<ResultSet> {
-        let binding =
-            Binding::from_cols(partial_columns.iter().map(|c| (None, c.clone())).collect());
         let col_idx = |name: &str| -> Result<usize> {
             partial_columns
                 .iter()
@@ -269,7 +267,10 @@ impl Combine {
         for j in 0..self.specs.len() {
             combined_cols.push((None, format!("A{j}")));
         }
-        let combined_binding = Binding::from_cols(combined_cols);
+        let final_projs = bind_all(
+            self.final_projs.iter().map(|(e, _)| e),
+            &Binding::from_cols(combined_cols),
+        );
 
         let mut out_rows = Vec::with_capacity(order.len());
         for key in order {
@@ -327,15 +328,8 @@ impl Combine {
                 };
                 combined.push(v);
             }
-            let crow = Row::new(combined);
-            let final_vals: Vec<Value> = self
-                .final_projs
-                .iter()
-                .map(|(e, _)| eval(e, &crow, &combined_binding))
-                .collect::<Result<_>>()?;
-            out_rows.push(Row::new(final_vals));
+            out_rows.push(project_row(&final_projs, &Row::new(combined))?);
         }
-        let _ = binding; // partial binding retained for clarity/debugging
         Ok(ResultSet {
             columns: self.final_projs.iter().map(|(_, n)| n.clone()).collect(),
             rows: out_rows,

@@ -41,7 +41,10 @@ use bestpeer_storage::{Database, RowId, Table};
 
 use crate::ast::{AggFunc, Expr, SelectStmt};
 use crate::phys::{plan_physical, PhysPlan};
-use crate::plan::{eval, eval_bool, AggItem, Binding, NoStats, SelectivityEstimator};
+use crate::plan::{
+    all_true, bind, bind_all, project_row, AggItem, Binding, BoundExpr, NoStats,
+    SelectivityEstimator,
+};
 
 /// A materialized query result.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -288,7 +291,8 @@ pub fn run_physical(
             input, group, aggs, ..
         } => {
             let rows = run_physical(input, db, stats)?;
-            let out = aggregate_rows(rows.iter().map(|r| &**r), input.binding(), group, aggs)?;
+            let out =
+                Aggregator::new(input.binding(), group, aggs).run(rows.iter().map(|r| &**r))?;
             Ok(out.into_iter().map(SharedRow::new).collect())
         }
         PhysPlan::Sort {
@@ -354,36 +358,22 @@ fn prune_rows(rows: &[SharedRow], cols: &[usize]) -> Vec<SharedRow> {
 
 /// Evaluate projection expressions over each row (1:1, order-preserving).
 fn project_rows(rows: &[SharedRow], exprs: &[Expr], b: &Binding) -> Result<Vec<SharedRow>> {
+    let exprs = bind_all(exprs, b);
     rows.iter()
-        .map(|row| {
-            Ok(SharedRow::new(Row::new(
-                exprs
-                    .iter()
-                    .map(|e| eval(e, row, b))
-                    .collect::<Result<Vec<_>>>()?,
-            )))
-        })
+        .map(|row| project_row(&exprs, row).map(SharedRow::new))
         .collect()
 }
 
 /// Keep the rows every predicate accepts, in input order.
 fn filter_rows(rows: Vec<SharedRow>, preds: &[Expr], b: &Binding) -> Result<Vec<SharedRow>> {
+    let preds = bind_all(preds, b);
     let mut out = Vec::new();
     for row in rows {
-        if all_true(preds, &row, b)? {
+        if all_true(&preds, &row)? {
             out.push(row);
         }
     }
     Ok(out)
-}
-
-fn all_true(preds: &[Expr], row: &Row, b: &Binding) -> Result<bool> {
-    for p in preds {
-        if !eval_bool(p, row, b)? {
-            return Ok(false);
-        }
-    }
-    Ok(true)
 }
 
 /// Fetch `ids` (pre-sorted ascending) and apply every filter except the
@@ -396,6 +386,12 @@ fn index_scan_rows(
     binding: &Binding,
     stats: &mut ExecStats,
 ) -> Result<Vec<SharedRow>> {
+    let residual: Vec<BoundExpr> = filters
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| i != driving)
+        .map(|(_, p)| bind(p, binding))
+        .collect();
     let mut out = Vec::new();
     for &rid in ids {
         let row = table
@@ -403,14 +399,7 @@ fn index_scan_rows(
             .ok_or_else(|| Error::Internal(format!("dangling index row id {rid}")))?;
         stats.rows_scanned += 1;
         stats.bytes_scanned += row.byte_size();
-        let mut ok = true;
-        for (i, p) in filters.iter().enumerate() {
-            if i != driving && !eval_bool(p, &row, binding)? {
-                ok = false;
-                break;
-            }
-        }
-        if ok {
+        if all_true(&residual, &row)? {
             stats.rows_shared += 1;
             out.push(row);
         }
@@ -425,11 +414,12 @@ fn seq_scan_rows(
     binding: &Binding,
     stats: &mut ExecStats,
 ) -> Result<Vec<SharedRow>> {
+    let filters = bind_all(filters, binding);
     let mut out = Vec::new();
     for row in table.scan_shared() {
         stats.rows_scanned += 1;
         stats.bytes_scanned += row.byte_size();
-        if all_true(filters, &row, binding)? {
+        if all_true(&filters, &row)? {
             stats.rows_shared += 1;
             out.push(row);
         }
@@ -557,23 +547,60 @@ impl Acc {
     }
 }
 
-/// Grouped aggregation in one left-to-right pass: output rows carry the
-/// group-key values followed by the aggregate values (the binding of an
-/// `Aggregate` plan node), groups in first-seen order, and every
-/// accumulator folds its inputs in row order. Public so the distributed
-/// engines (HadoopDB's reducers, the parallel P2P engine) can aggregate
-/// shuffled tuples that never lived in a table.
-pub fn aggregate_rows<'a>(
-    rows: impl IntoIterator<Item = &'a Row>,
-    input_binding: &Binding,
-    group: &[Expr],
-    aggs: &[AggItem],
-) -> Result<Vec<Row>> {
-    let mut t = GroupTable::new(group, aggs);
-    for row in rows {
-        t.update_row(row, input_binding, group, aggs)?;
+/// Grouped aggregation with its group keys and aggregate arguments bound
+/// to the input's column positions once, then run over any number of
+/// row batches. Public so the distributed engines (HadoopDB's reducers,
+/// the parallel P2P engine) can aggregate shuffled tuples that never
+/// lived in a table.
+#[derive(Debug, Clone)]
+pub struct Aggregator {
+    group: Vec<BoundExpr>,
+    /// Per aggregate: its function and bound argument (`None` =
+    /// `COUNT(*)`).
+    aggs: Vec<(AggFunc, Option<BoundExpr>)>,
+}
+
+impl Aggregator {
+    /// Bind `group` and the arguments of `aggs` to `input_binding`.
+    pub fn new(input_binding: &Binding, group: &[Expr], aggs: &[AggItem]) -> Aggregator {
+        Aggregator {
+            group: bind_all(group, input_binding),
+            aggs: aggs
+                .iter()
+                .map(|a| (a.func, a.arg.as_ref().map(|e| bind(e, input_binding))))
+                .collect(),
+        }
     }
-    Ok(t.finish())
+
+    /// Aggregate `rows` in one left-to-right pass: output rows carry the
+    /// group-key values followed by the aggregate values (the binding
+    /// of an `Aggregate` plan node), groups in first-seen order, and
+    /// every accumulator folds its inputs in row order.
+    pub fn run<'a>(&self, rows: impl IntoIterator<Item = &'a Row>) -> Result<Vec<Row>> {
+        let mut t = GroupTable {
+            index: HashMap::new(),
+            states: Vec::new(),
+        };
+        if self.group.is_empty() {
+            // Global aggregate: exactly one group even over zero rows.
+            t.slot(Vec::new(), &self.aggs);
+        }
+        for row in rows {
+            let key: Vec<Value> = self
+                .group
+                .iter()
+                .map(|g| g.value(row))
+                .collect::<Result<_>>()?;
+            let slot = t.slot(key, &self.aggs);
+            for (acc, (_, arg)) in t.states[slot].1.iter_mut().zip(&self.aggs) {
+                match arg {
+                    Some(e) => acc.update(Some(&*e.eval(row)?))?,
+                    None => acc.update(None)?,
+                }
+            }
+        }
+        Ok(t.finish())
+    }
 }
 
 /// Collision-safe fingerprint of a group-key tuple. The group table is
@@ -594,23 +621,9 @@ struct GroupTable {
 }
 
 impl GroupTable {
-    fn new(group: &[Expr], aggs: &[AggItem]) -> GroupTable {
-        let mut t = GroupTable {
-            index: HashMap::new(),
-            states: Vec::new(),
-        };
-        if group.is_empty() {
-            // Global aggregate: exactly one group even over zero rows.
-            t.index.insert(fingerprint_key(&[]), vec![0]);
-            t.states
-                .push((Vec::new(), aggs.iter().map(|a| Acc::new(a.func)).collect()));
-        }
-        t
-    }
-
     /// The slot for `key`, creating one with fresh accumulators if the
     /// group is new.
-    fn slot(&mut self, key: Vec<Value>, aggs: &[AggItem]) -> usize {
+    fn slot(&mut self, key: Vec<Value>, aggs: &[(AggFunc, Option<BoundExpr>)]) -> usize {
         let fp = fingerprint_key(&key);
         let chain = self.index.entry(fp).or_default();
         for &s in chain.iter() {
@@ -621,32 +634,8 @@ impl GroupTable {
         let s = self.states.len();
         chain.push(s);
         self.states
-            .push((key, aggs.iter().map(|a| Acc::new(a.func)).collect()));
+            .push((key, aggs.iter().map(|&(f, _)| Acc::new(f)).collect()));
         s
-    }
-
-    fn update_row(
-        &mut self,
-        row: &Row,
-        input_binding: &Binding,
-        group: &[Expr],
-        aggs: &[AggItem],
-    ) -> Result<()> {
-        let key: Vec<Value> = group
-            .iter()
-            .map(|g| eval(g, row, input_binding))
-            .collect::<Result<_>>()?;
-        let slot = self.slot(key, aggs);
-        for (acc, item) in self.states[slot].1.iter_mut().zip(aggs) {
-            match &item.arg {
-                Some(argexpr) => {
-                    let v = eval(argexpr, row, input_binding)?;
-                    acc.update(Some(&v))?;
-                }
-                None => acc.update(None)?,
-            }
-        }
-        Ok(())
     }
 
     fn finish(self) -> Vec<Row> {
@@ -679,13 +668,11 @@ fn cmp_keys(a: &[Value], b: &[Value], desc: &[bool]) -> Ordering {
 /// the executor's historical stable-sort semantics.
 fn sort_shared(rows: &mut Vec<SharedRow>, keys: &[(Expr, bool)], b: &Binding) -> Result<()> {
     let desc: Vec<bool> = keys.iter().map(|(_, d)| *d).collect();
+    let exprs = bind_all(keys.iter().map(|(e, _)| e), b);
     // Precompute key tuples to keep comparisons fallible-free.
     let mut keyed: Vec<(Vec<Value>, usize)> = Vec::with_capacity(rows.len());
     for (i, row) in rows.iter().enumerate() {
-        let kv: Vec<Value> = keys
-            .iter()
-            .map(|(e, _)| eval(e, row, b))
-            .collect::<Result<_>>()?;
+        let kv: Vec<Value> = exprs.iter().map(|e| e.value(row)).collect::<Result<_>>()?;
         keyed.push((kv, i));
     }
     keyed.sort_by(|(ka, ia), (kb, ib)| cmp_keys(ka, kb, &desc).then(ia.cmp(ib)));
@@ -762,12 +749,10 @@ fn top_k_shared(
         stats.topk_short_circuits += 1;
     }
     let desc: Arc<[bool]> = keys.iter().map(|(_, d)| *d).collect::<Vec<_>>().into();
+    let exprs = bind_all(keys.iter().map(|(e, _)| e), b);
     let mut items = Vec::with_capacity(rows.len());
     for row in rows {
-        let kv: Vec<Value> = keys
-            .iter()
-            .map(|(e, _)| eval(e, &row, b))
-            .collect::<Result<_>>()?;
+        let kv: Vec<Value> = exprs.iter().map(|e| e.value(&row)).collect::<Result<_>>()?;
         items.push((kv, row));
     }
     Ok(bounded_top_k(items.into_iter(), desc, k))
@@ -801,17 +786,22 @@ pub fn apply_order_limit(stmt: &SelectStmt, rs: &mut ResultSet) -> bool {
     let mut used_topk = false;
     if !stmt.order_by.is_empty() {
         let binding = Binding::from_cols(rs.columns.iter().map(|c| (None, c.clone())).collect());
-        let keys: Vec<(Expr, bool)> = stmt
+        let keys: Vec<BoundExpr> = stmt
             .order_by
             .iter()
-            .map(|k| (order_key_expr(&k.expr, stmt, &rs.columns), k.desc))
+            .map(|k| bind(&order_key_expr(&k.expr, stmt, &rs.columns), &binding))
             .collect();
-        let desc: Arc<[bool]> = keys.iter().map(|(_, d)| *d).collect::<Vec<_>>().into();
+        let desc: Arc<[bool]> = stmt
+            .order_by
+            .iter()
+            .map(|k| k.desc)
+            .collect::<Vec<_>>()
+            .into();
         let n_in = rs.rows.len();
         let keyed = std::mem::take(&mut rs.rows).into_iter().map(|r| {
             let kv: Vec<Value> = keys
                 .iter()
-                .map(|(e, _)| eval(e, &r, &binding).unwrap_or(Value::Null))
+                .map(|e| e.value(&r).unwrap_or(Value::Null))
                 .collect();
             (kv, r)
         });
@@ -894,8 +884,11 @@ fn strip_unique_qualifiers(e: Expr, out: &[String]) -> Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::CmpOp;
     use crate::parser::parse_select;
+    use crate::phys::IndexBounds;
     use bestpeer_common::{ColumnDef, ColumnType, TableSchema};
+    use std::ops::Bound;
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -1217,6 +1210,91 @@ mod tests {
         let rs = query("SELECT COUNT(*), COUNT(x) FROM t", &db);
         assert_eq!(rs.rows[0].get(0), &Value::Int(2));
         assert_eq!(rs.rows[0].get(1), &Value::Int(1));
+    }
+
+    /// A column that does not resolve fails on the first row that
+    /// reaches it, with the resolver's message, and never over an empty
+    /// input.
+    #[test]
+    fn unresolved_and_ambiguous_projections_fail_on_the_first_row_only() {
+        let db = db();
+        let err = execute_select(&parse_select("SELECT nosuch FROM orders").unwrap(), &db);
+        assert_eq!(
+            err.unwrap_err(),
+            Error::Plan("unresolved column `nosuch`".into())
+        );
+        let empty = parse_select("SELECT nosuch FROM orders WHERE o_orderkey > 99").unwrap();
+        assert!(execute_select(&empty, &db).unwrap().0.is_empty());
+
+        let mut db = Database::new();
+        for t in ["t1", "t2"] {
+            db.create_table(
+                TableSchema::new(t, vec![ColumnDef::new("x", ColumnType::Int)], vec![]).unwrap(),
+            )
+            .unwrap();
+        }
+        let stmt = parse_select("SELECT x FROM t1, t2").unwrap();
+        db.insert("t1", Row::new(vec![Value::Int(1)])).unwrap();
+        assert!(execute_select(&stmt, &db).unwrap().0.is_empty(), "t2 empty");
+        db.insert("t2", Row::new(vec![Value::Int(2)])).unwrap();
+        assert_eq!(
+            execute_select(&stmt, &db).unwrap_err(),
+            Error::Plan("ambiguous column reference `x`".into())
+        );
+    }
+
+    /// An index scan applies every pushed filter except the driving one,
+    /// which the probe already satisfied: a driving filter that would
+    /// reject every row is never evaluated, and residuals at positions
+    /// on either side of it still are.
+    #[test]
+    fn index_scan_skips_only_its_driving_predicate() {
+        let mut db = db();
+        db.table_mut("lineitem")
+            .unwrap()
+            .create_index("l_shipdate")
+            .unwrap();
+        let never = Expr::cmp(
+            Expr::col("l_shipdate"),
+            CmpOp::Lt,
+            Expr::lit(Value::Date(0)),
+        );
+        let qty_over_2 = Expr::cmp(Expr::col("l_quantity"), CmpOp::Gt, Expr::lit(2));
+        let price_under_30 = Expr::cmp(Expr::col("l_price"), CmpOp::Lt, Expr::lit(30.0));
+        let binding = Binding::from_cols(
+            ["l_orderkey", "l_quantity", "l_price", "l_shipdate"]
+                .iter()
+                .map(|c| (Some("lineitem".to_string()), c.to_string()))
+                .collect(),
+        );
+        let plan = PhysPlan::IndexScan {
+            table: "lineitem".into(),
+            column: "l_shipdate".into(),
+            bounds: IndexBounds::Range {
+                lo: Bound::Included(Value::Date(200)),
+                hi: Bound::Unbounded,
+            },
+            driving: 1,
+            filters: vec![qty_over_2, never, price_under_30],
+            est_rows: 3,
+            table_rows: 4,
+            binding,
+        };
+        let mut stats = ExecStats::default();
+        let rows = run_physical(&plan, &db, &mut stats).unwrap();
+        // Days 200/300/400 carry (qty, price) (3, 20), (7, 30), (1, 5):
+        // only the first passes both residuals.
+        assert_eq!(stats.rows_scanned, 3);
+        let got: Vec<&Row> = rows.iter().map(|r| &**r).collect();
+        assert_eq!(
+            got,
+            vec![&Row::new(vec![
+                Value::Int(1),
+                Value::Int(3),
+                Value::Float(20.0),
+                Value::Date(200),
+            ])]
+        );
     }
 
     /// Rows in the large fact table: more than two of the 4096-row

@@ -12,6 +12,7 @@
 //! [`crate::phys`] lowers this tree to access paths; the executor in
 //! [`crate::exec`] runs it.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 use bestpeer_common::{Error, Result, Row, Value};
@@ -147,61 +148,172 @@ pub(crate) fn estimated_scan_rows(
     table_rows as f64 * sel
 }
 
-/// Evaluate a scalar expression against a row under a binding.
-/// Booleans are encoded as `Int(1)` / `Int(0)`.
-pub fn eval(e: &Expr, row: &Row, b: &Binding) -> Result<Value> {
+/// An expression bound to the column ordinals of one [`Binding`]: the
+/// form every per-row evaluator runs. [`bind`] resolves each column
+/// reference once, so evaluation indexes the row directly instead of
+/// comparing names, and borrows column and literal operands instead of
+/// cloning them. Booleans are encoded as `Int(1)` / `Int(0)`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum BoundExpr {
+    /// The value at this row position.
+    Column(usize),
+    /// A constant.
+    Literal(Value),
+    /// Binary comparison.
+    Cmp {
+        /// Left operand.
+        left: Box<BoundExpr>,
+        /// Operator.
+        op: CmpOp,
+        /// Right operand.
+        right: Box<BoundExpr>,
+    },
+    /// Binary arithmetic.
+    Arith {
+        /// Left operand.
+        left: Box<BoundExpr>,
+        /// Operator.
+        op: ArithOp,
+        /// Right operand.
+        right: Box<BoundExpr>,
+    },
+    /// Short-circuit conjunction.
+    And(Box<BoundExpr>, Box<BoundExpr>),
+    /// Short-circuit disjunction.
+    Or(Box<BoundExpr>, Box<BoundExpr>),
+    /// A node that failed to bind (an unresolved or ambiguous column, or
+    /// an aggregate outside an aggregation context). It raises this
+    /// [`Error::Plan`] whenever it is evaluated, so a bad reference fails
+    /// on the first row that reaches it — and never over an empty input
+    /// or on a side AND/OR skips — exactly as resolving names row by row
+    /// did.
+    Unbound(Error),
+}
+
+/// Bind `e` to the column positions of `b`. Never fails: a reference
+/// that does not resolve becomes a [`BoundExpr::Unbound`] node that
+/// errors when evaluated.
+pub fn bind(e: &Expr, b: &Binding) -> BoundExpr {
+    let pair = |l: &Expr, r: &Expr| (Box::new(bind(l, b)), Box::new(bind(r, b)));
     match e {
-        Expr::Column(c) => Ok(row.get(b.resolve(c)?).clone()),
-        Expr::Literal(v) => Ok(v.clone()),
+        Expr::Column(c) => b
+            .resolve(c)
+            .map_or_else(BoundExpr::Unbound, BoundExpr::Column),
+        Expr::Literal(v) => BoundExpr::Literal(v.clone()),
         Expr::Cmp { left, op, right } => {
-            let l = eval(left, row, b)?;
-            let r = eval(right, row, b)?;
-            Ok(Value::Int(op.eval(&l, &r) as i64))
-        }
-        Expr::Arith { left, op, right } => {
-            let l = eval(left, row, b)?;
-            let r = eval(right, row, b)?;
-            match op {
-                ArithOp::Add => l.checked_add(&r),
-                ArithOp::Sub => l.checked_sub(&r),
-                ArithOp::Mul => l.checked_mul(&r),
-                ArithOp::Div => {
-                    if l.is_null() || r.is_null() {
-                        Ok(Value::Null)
-                    } else {
-                        let d = r.as_f64()?;
-                        if d == 0.0 {
-                            Ok(Value::Null)
-                        } else {
-                            Ok(Value::Float(l.as_f64()? / d))
-                        }
-                    }
-                }
+            let (left, right) = pair(left, right);
+            BoundExpr::Cmp {
+                left,
+                op: *op,
+                right,
             }
         }
-        Expr::And(x, y) => Ok(Value::Int(
-            (eval_bool(x, row, b)? && eval_bool(y, row, b)?) as i64,
-        )),
-        Expr::Or(x, y) => Ok(Value::Int(
-            (eval_bool(x, row, b)? || eval_bool(y, row, b)?) as i64,
-        )),
-        Expr::Agg { .. } => Err(Error::Plan(format!(
+        Expr::Arith { left, op, right } => {
+            let (left, right) = pair(left, right);
+            BoundExpr::Arith {
+                left,
+                op: *op,
+                right,
+            }
+        }
+        Expr::And(x, y) => {
+            let (x, y) = pair(x, y);
+            BoundExpr::And(x, y)
+        }
+        Expr::Or(x, y) => {
+            let (x, y) = pair(x, y);
+            BoundExpr::Or(x, y)
+        }
+        Expr::Agg { .. } => BoundExpr::Unbound(Error::Plan(format!(
             "aggregate `{e}` evaluated outside an aggregation context"
         ))),
     }
 }
 
-/// Evaluate an expression as a predicate.
-pub fn eval_bool(e: &Expr, row: &Row, b: &Binding) -> Result<bool> {
-    Ok(match eval(e, row, b)? {
-        Value::Int(v) => v != 0,
-        Value::Null => false,
-        other => {
-            return Err(Error::Type(format!(
-                "predicate evaluated to non-boolean {other:?}"
-            )))
+/// Bind every expression of `exprs` to `b`.
+pub fn bind_all<'a>(exprs: impl IntoIterator<Item = &'a Expr>, b: &Binding) -> Vec<BoundExpr> {
+    exprs.into_iter().map(|e| bind(e, b)).collect()
+}
+
+impl BoundExpr {
+    /// Evaluate against `row`, borrowing the value when the expression
+    /// is a plain column or literal.
+    pub fn eval<'a>(&'a self, row: &'a Row) -> Result<Cow<'a, Value>> {
+        Ok(match self {
+            BoundExpr::Column(i) => Cow::Borrowed(row.get(*i)),
+            BoundExpr::Literal(v) => Cow::Borrowed(v),
+            BoundExpr::Cmp { .. } | BoundExpr::And(..) | BoundExpr::Or(..) => {
+                Cow::Owned(Value::Int(self.eval_bool(row)? as i64))
+            }
+            BoundExpr::Arith { left, op, right } => {
+                let l = left.eval(row)?;
+                let r = right.eval(row)?;
+                Cow::Owned(match op {
+                    ArithOp::Add => l.checked_add(&r)?,
+                    ArithOp::Sub => l.checked_sub(&r)?,
+                    ArithOp::Mul => l.checked_mul(&r)?,
+                    ArithOp::Div => {
+                        if l.is_null() || r.is_null() {
+                            Value::Null
+                        } else {
+                            let d = r.as_f64()?;
+                            if d == 0.0 {
+                                Value::Null
+                            } else {
+                                Value::Float(l.as_f64()? / d)
+                            }
+                        }
+                    }
+                })
+            }
+            BoundExpr::Unbound(err) => return Err(err.clone()),
+        })
+    }
+
+    /// Evaluate against `row` into an owned value.
+    pub fn value(&self, row: &Row) -> Result<Value> {
+        self.eval(row).map(Cow::into_owned)
+    }
+
+    /// Evaluate as a predicate: non-zero integers are true, NULL is
+    /// false, anything else is a type error. Comparisons compare the
+    /// operands by reference.
+    pub fn eval_bool(&self, row: &Row) -> Result<bool> {
+        match self {
+            BoundExpr::Cmp { left, op, right } => {
+                let l = left.eval(row)?;
+                let r = right.eval(row)?;
+                Ok(op.eval(&l, &r))
+            }
+            BoundExpr::And(x, y) => Ok(x.eval_bool(row)? && y.eval_bool(row)?),
+            BoundExpr::Or(x, y) => Ok(x.eval_bool(row)? || y.eval_bool(row)?),
+            _ => match &*self.eval(row)? {
+                Value::Int(v) => Ok(*v != 0),
+                Value::Null => Ok(false),
+                other => Err(Error::Type(format!(
+                    "predicate evaluated to non-boolean {other:?}"
+                ))),
+            },
         }
-    })
+    }
+}
+
+/// The row of `exprs`' values over `row` (a projection).
+pub fn project_row(exprs: &[BoundExpr], row: &Row) -> Result<Row> {
+    Ok(Row::new(
+        exprs.iter().map(|e| e.value(row)).collect::<Result<_>>()?,
+    ))
+}
+
+/// Whether every predicate of `preds` accepts `row` (stops at the first
+/// rejection).
+pub fn all_true(preds: &[BoundExpr], row: &Row) -> Result<bool> {
+    for p in preds {
+        if !p.eval_bool(row)? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
 /// One aggregate computed by an [`Plan::Aggregate`] node.
@@ -956,12 +1068,128 @@ mod tests {
             .projections[0]
             .expr
             .clone();
-        assert_eq!(eval(&e, &row, &b).unwrap(), Value::Float(2.0));
+        assert_eq!(bind(&e, &b).value(&row).unwrap(), Value::Float(2.0));
         let p = parse_select("SELECT a FROM t WHERE x >= 4 AND y < 1")
             .unwrap()
             .predicates[0]
             .clone();
-        assert!(eval_bool(&p, &row, &b).unwrap());
+        assert!(bind(&p, &b).eval_bool(&row).unwrap());
+    }
+
+    fn col_eq(name: &str, v: impl Into<Value>) -> Expr {
+        Expr::cmp(Expr::col(name), CmpOp::Eq, Expr::lit(v))
+    }
+
+    #[test]
+    fn bound_comparisons_with_null_are_false() {
+        let b = Binding::from_cols(vec![(None, "x".into()), (None, "n".into())]);
+        let row = Row::new(vec![Value::Int(1), Value::Null]);
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        for op in ops {
+            for (l, r) in [
+                (Expr::col("n"), Expr::lit(1)),
+                (Expr::col("x"), Expr::col("n")),
+                (Expr::col("n"), Expr::lit(Value::Null)),
+            ] {
+                let e = bind(&Expr::cmp(l, op, r), &b);
+                assert!(!e.eval_bool(&row).unwrap(), "{op}");
+                assert_eq!(e.value(&row).unwrap(), Value::Int(0), "{op}");
+            }
+        }
+        // A bare NULL is a false predicate, not an error.
+        assert!(!bind(&Expr::col("n"), &b).eval_bool(&row).unwrap());
+    }
+
+    #[test]
+    fn bound_division_by_zero_or_null_is_null() {
+        let b = Binding::from_cols(vec![(None, "x".into()), (None, "z".into())]);
+        let row = Row::new(vec![Value::Int(7), Value::Int(0)]);
+        let div = |l: Expr, r: Expr| Expr::Arith {
+            left: Box::new(l),
+            op: ArithOp::Div,
+            right: Box::new(r),
+        };
+        for e in [
+            div(Expr::col("x"), Expr::col("z")),
+            div(Expr::col("x"), Expr::lit(0.0)),
+            div(Expr::col("x"), Expr::lit(Value::Null)),
+            div(Expr::lit(Value::Null), Expr::col("x")),
+        ] {
+            assert_eq!(bind(&e, &b).value(&row).unwrap(), Value::Null, "{e}");
+        }
+        let e = div(Expr::col("x"), Expr::lit(2));
+        assert_eq!(bind(&e, &b).value(&row).unwrap(), Value::Float(3.5));
+    }
+
+    #[test]
+    fn bound_and_or_never_evaluate_the_side_they_skip() {
+        let b = Binding::from_cols(vec![(None, "x".into()), (None, "s".into())]);
+        let row = Row::new(vec![Value::Int(1), Value::str("a")]);
+        let yes = col_eq("x", 1);
+        let no = col_eq("x", 2);
+        // Each would fail if evaluated: an unresolved column, a type
+        // error, and a non-boolean predicate.
+        let failing = [
+            col_eq("nosuch", 1),
+            Expr::cmp(
+                Expr::Arith {
+                    left: Box::new(Expr::col("s")),
+                    op: ArithOp::Add,
+                    right: Box::new(Expr::lit(1)),
+                },
+                CmpOp::Eq,
+                Expr::lit(1),
+            ),
+            Expr::col("s"),
+        ];
+        for bad in failing {
+            let and = bind(&Expr::And(Box::new(no.clone()), Box::new(bad.clone())), &b);
+            assert!(!and.eval_bool(&row).unwrap(), "AND skips {bad}");
+            let or = bind(&Expr::Or(Box::new(yes.clone()), Box::new(bad.clone())), &b);
+            assert!(or.eval_bool(&row).unwrap(), "OR skips {bad}");
+            // When the right side must run, its error surfaces.
+            let and = bind(&Expr::And(Box::new(yes.clone()), Box::new(bad.clone())), &b);
+            assert!(and.eval_bool(&row).is_err(), "AND runs {bad}");
+            let or = bind(&Expr::Or(Box::new(no.clone()), Box::new(bad.clone())), &b);
+            assert!(or.eval_bool(&row).is_err(), "OR runs {bad}");
+        }
+    }
+
+    #[test]
+    fn unbound_columns_raise_the_resolver_error_when_evaluated() {
+        let b = Binding::from_cols(vec![
+            (Some("t".into()), "x".into()),
+            (Some("t".into()), "y".into()),
+            (Some("u".into()), "x".into()),
+        ]);
+        let row = Row::new(vec![Value::Int(1), Value::Int(2), Value::Int(3)]);
+        for c in [ColumnRef::new("zzz"), ColumnRef::new("x")] {
+            let want = b.resolve(&c).unwrap_err();
+            assert!(matches!(want, Error::Plan(_)));
+            let e = bind(&Expr::Column(c), &b);
+            assert_eq!(e, BoundExpr::Unbound(want.clone()));
+            assert_eq!(e.value(&row).unwrap_err(), want);
+            assert_eq!(e.eval_bool(&row).unwrap_err(), want);
+        }
+        // Resolvable references bind to ordinals and evaluate by borrow.
+        let e = bind(&Expr::Column(ColumnRef::qualified("u", "x")), &b);
+        assert_eq!(e, BoundExpr::Column(2));
+        assert!(matches!(
+            e.eval(&row).unwrap(),
+            Cow::Borrowed(Value::Int(3))
+        ));
+        let lit = bind(&Expr::lit(9), &b);
+        assert!(matches!(
+            lit.eval(&row).unwrap(),
+            Cow::Borrowed(Value::Int(9))
+        ));
     }
 
     fn ambiguous_db() -> Database {

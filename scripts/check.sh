@@ -79,6 +79,12 @@ run_test() {
   echo "==> end-to-end benchmark correctness smoke (analytic, 200 reads + 200 writes; exits 1 on any wrong answer)"
   CARGO_TARGET_DIR=target python3 perfbench/run.py --workload analytic --seed 1 --seconds 4 --trace 0
 
+  echo "==> end-to-end benchmark correctness smoke (supply-chain: index-scan and range-index reads plus writes; exits 1 on any wrong answer)"
+  CARGO_TARGET_DIR=target python3 perfbench/run.py --workload supply-chain --seed 1 --seconds 14 --trace 0
+
+  echo "==> end-to-end benchmark correctness smoke (analytic-tcp: remote owners apply a role decoded from the wire; exits 1 on any wrong answer)"
+  CARGO_TARGET_DIR=target python3 perfbench/run.py --workload analytic-tcp --seed 1 --seconds 5 --trace 0
+
   echo "==> cargo test -q (root package: integration tests + examples)"
   cargo test -q
 
