@@ -244,7 +244,13 @@ impl EngineCtx<'_> {
                 cache_key: Option<(u64, u64)>,
             },
         }
-        let cached = self.rescache.borrow().enabled();
+        // The cache key's statement half, rendered once for all owners
+        // (`None` when the cache is off).
+        let fp = self
+            .rescache
+            .borrow()
+            .enabled()
+            .then(|| ResultCache::fingerprint(stmt, &self.role.name));
         let mut prepared: Vec<Prepared> = Vec::with_capacity(owners.len());
         let mut preamble_err: Option<Error> = None;
         for &owner in owners {
@@ -264,13 +270,13 @@ impl EngineCtx<'_> {
                 // No local precheck for remote owners: the owner
                 // enforces access control and its authoritative
                 // snapshot check when the subquery arrives.
-                if !cached {
+                let Some(fp) = fp else {
                     prepared.push(Prepared::Miss {
                         target: MissTarget::Remote(remote),
                         cache_key: None,
                     });
                     continue;
-                }
+                };
                 let load_ts = remote.load_timestamp;
                 if load_ts < self.query_ts {
                     preamble_err = Some(Error::StaleSnapshot(format!(
@@ -279,7 +285,6 @@ impl EngineCtx<'_> {
                     )));
                     break;
                 }
-                let fp = ResultCache::fingerprint(stmt, &self.role.name);
                 if let Some(rs) = self.rescache.borrow_mut().get(owner, fp, load_ts) {
                     prepared.push(Prepared::Hit(rs));
                 } else {
@@ -297,7 +302,7 @@ impl EngineCtx<'_> {
                     break;
                 }
             };
-            if !cached {
+            let Some(fp) = fp else {
                 match peer.precheck_subquery(stmt, self.role, self.query_ts) {
                     Ok(()) => prepared.push(Prepared::Miss {
                         target: MissTarget::Local(peer),
@@ -309,7 +314,7 @@ impl EngineCtx<'_> {
                     }
                 }
                 continue;
-            }
+            };
             let load_ts = peer.db.load_timestamp();
             if load_ts < self.query_ts {
                 preamble_err = Some(Error::StaleSnapshot(format!(
@@ -318,7 +323,6 @@ impl EngineCtx<'_> {
                 )));
                 break;
             }
-            let fp = ResultCache::fingerprint(stmt, &self.role.name);
             if let Some(rs) = self.rescache.borrow_mut().get(owner, fp, load_ts) {
                 prepared.push(Prepared::Hit(rs));
                 continue;

@@ -111,7 +111,13 @@ impl LocalSource for PeerSource<'_> {
                 cache_key: Option<(u64, u64)>,
             },
         }
-        let cached = self.cache.borrow().enabled();
+        // The cache key's statement half, rendered once for all peers
+        // (`None` when the cache is off).
+        let fp = self
+            .cache
+            .borrow()
+            .enabled()
+            .then(|| ResultCache::fingerprint(stmt, &self.role.name));
         let mut prepared: Vec<Prepared> = Vec::with_capacity(peers.len());
         let mut preamble_err: Option<bestpeer_common::Error> = None;
         for &peer in peers {
@@ -136,7 +142,7 @@ impl LocalSource for PeerSource<'_> {
                 prepared.push(Prepared::Empty);
                 continue;
             }
-            let cache_key = if cached {
+            let cache_key = if let Some(fp) = fp {
                 let load_ts = p.db.load_timestamp();
                 if load_ts < self.query_ts {
                     preamble_err = Some(bestpeer_common::Error::StaleSnapshot(format!(
@@ -145,7 +151,6 @@ impl LocalSource for PeerSource<'_> {
                     )));
                     break;
                 }
-                let fp = ResultCache::fingerprint(stmt, &self.role.name);
                 if let Some(rs) = self.cache.borrow_mut().get(peer, fp, load_ts) {
                     prepared.push(Prepared::Hit(rs));
                     continue;

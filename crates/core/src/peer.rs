@@ -158,10 +158,12 @@ impl NormalPeer {
         // (output idx, mask) of every plain-column projection.
         let mut masks = Vec::new();
         if stmt.projections.is_empty() {
-            // SELECT *: all columns of the single FROM table, in order.
-            let table = &stmt.from[0];
-            for (i, col) in rs.columns.iter().enumerate() {
-                masks.push((i, role.column_mask(table, col)));
+            // SELECT *: every FROM table's columns, table by table in
+            // FROM order, each masked by its own table's rules.
+            for table in &stmt.from {
+                for col in &self.db.table(table)?.schema().columns {
+                    masks.push((masks.len(), role.column_mask(table, &col.name)));
+                }
             }
         } else {
             for (i, item) in stmt.projections.iter().enumerate() {
@@ -419,6 +421,75 @@ mod tests {
                 execute_select(&stmt, &p.db).unwrap(),
                 "{sql}"
             );
+        }
+    }
+
+    /// [`peer`] plus a two-row `supplier` table, smaller than
+    /// `lineitem`, so the planner's join order starts from it.
+    fn two_table_peer() -> NormalPeer {
+        let mut p = peer();
+        p.db.create_table(
+            TableSchema::new(
+                "supplier",
+                vec![
+                    ColumnDef::new("s_suppkey", ColumnType::Int),
+                    ColumnDef::new("s_acctbal", ColumnType::Float),
+                ],
+                vec![0],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        for (k, bal) in [(1, 10.0), (2, 9000.0)] {
+            p.db.insert("supplier", Row::new(vec![Value::Int(k), Value::Float(bal)]))
+                .unwrap();
+        }
+        p
+    }
+
+    #[test]
+    fn multi_table_select_star_masks_each_column_by_its_own_table() {
+        let p = two_table_peer();
+        let full = Role::full_read(
+            "R",
+            &[
+                ("lineitem", &["l_orderkey", "l_extendedprice", "l_shipdate"]),
+                ("supplier", &["s_suppkey", "s_acctbal"]),
+            ],
+        );
+        // Every lineitem column open; on supplier only a ranged rule on
+        // s_acctbal (s_suppkey unreadable).
+        let ranged = Role::full_read(
+            "ranged",
+            &[("lineitem", &["l_orderkey", "l_extendedprice", "l_shipdate"])],
+        )
+        .plus(
+            AccessRule::read("supplier", "s_acctbal")
+                .with_range(Value::Float(0.0), Value::Float(100.0)),
+        );
+        let table_of = |col: &str| {
+            if col.starts_with("s_") {
+                "supplier"
+            } else {
+                "lineitem"
+            }
+        };
+        for sql in [
+            "SELECT * FROM lineitem, supplier",
+            "SELECT * FROM supplier, lineitem",
+        ] {
+            let stmt = parse_select(sql).unwrap();
+            let raw = execute_select(&stmt, &p.db).unwrap();
+            assert_eq!(raw.0.rows.len(), 6, "{sql}");
+            assert_eq!(p.execute_subquery(&stmt, &full).unwrap(), raw, "{sql}");
+            let (masked, _) = p.execute_subquery(&stmt, &ranged).unwrap();
+            assert_eq!(masked.columns, raw.0.columns, "{sql}");
+            for (m, r) in masked.rows.iter().zip(&raw.0.rows) {
+                for (i, col) in raw.0.columns.iter().enumerate() {
+                    let want = reference_mask(&ranged, table_of(col), col, r.get(i));
+                    assert_eq!(m.get(i), &want, "{sql}: {col} of {r:?}");
+                }
+            }
         }
     }
 

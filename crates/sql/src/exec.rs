@@ -968,6 +968,28 @@ mod tests {
     }
 
     #[test]
+    fn select_star_lists_columns_in_from_order_whatever_the_join_order() {
+        let db = db();
+        // `orders` is the smaller input, so the join tree starts from it
+        // in both statements.
+        let l = ["l_orderkey", "l_quantity", "l_price", "l_shipdate"];
+        let o = ["o_orderkey", "o_status"];
+        let rs = query(
+            "SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey",
+            &db,
+        );
+        assert_eq!(rs.columns, [&l[..], &o[..]].concat());
+        assert_eq!(rs.len(), 4);
+        assert!(rs.rows.iter().all(|r| r.get(0) == r.get(4)));
+        let rs = query(
+            "SELECT * FROM orders, lineitem WHERE l_orderkey = o_orderkey",
+            &db,
+        );
+        assert_eq!(rs.columns, [&o[..], &l[..]].concat());
+        assert!(rs.rows.iter().all(|r| r.get(0) == r.get(2)));
+    }
+
+    #[test]
     fn equi_join_matches_pairs() {
         let db = db();
         let rs = query(

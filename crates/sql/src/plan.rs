@@ -569,6 +569,23 @@ pub fn plan_select_with(
             }
         }
     }
+    // SELECT * lists each FROM table's columns, table by table in FROM
+    // order, whatever order the join tree below is built in.
+    let star: Vec<SelectItem> = if stmt.projections.is_empty() {
+        bindings
+            .iter()
+            .flat_map(|b| b.cols.iter())
+            .map(|(t, n)| SelectItem {
+                expr: Expr::Column(match t {
+                    Some(t) => ColumnRef::qualified(t.clone(), n.clone()),
+                    None => ColumnRef::new(n.clone()),
+                }),
+                alias: Some(n.clone()),
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
     let mut scans: Vec<Plan> = Vec::with_capacity(stmt.from.len());
     let mut remaining: Vec<Expr> = Vec::new();
     let mut pushed = vec![false; stmt.predicates.len()];
@@ -713,18 +730,7 @@ pub fn plan_select_with(
 
     // 3. Aggregation, projection, ordering, limit.
     let projections: Vec<SelectItem> = if stmt.projections.is_empty() {
-        // SELECT * — expand from the current binding.
-        plan.binding()
-            .cols
-            .iter()
-            .map(|(t, n)| SelectItem {
-                expr: Expr::Column(match t {
-                    Some(t) => ColumnRef::qualified(t.clone(), n.clone()),
-                    None => ColumnRef::new(n.clone()),
-                }),
-                alias: Some(n.clone()),
-            })
-            .collect()
+        star
     } else {
         stmt.projections.clone()
     };

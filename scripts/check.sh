@@ -93,6 +93,9 @@ run_test() {
 
   echo "==> cargo test -q --workspace with BESTPEER_THREADS=1 (exact sequential path)"
   BESTPEER_THREADS=1 cargo test -q --workspace
+
+  echo "==> pool tests in release (races in the helper hand-off show up more readily with optimisations on)"
+  cargo test -q --release -p bestpeer-common pool
 }
 
 if [ "$phase" = "lint" ] || [ "$phase" = "all" ]; then
